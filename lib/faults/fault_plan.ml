@@ -113,14 +113,23 @@ let advance st rng ~step =
   st.active <- active';
   churn_changed || partition_changed
 
-let alive st v =
+let[@inline] alive st v =
   match st.alive_set with None -> true | Some b -> Bitset.mem b v
 
-let blocked st u v = List.exists (fun p -> p.side u <> p.side v) st.active
+(* A direct walk: [List.exists] would build a closure per call, and the
+   engines ask once per contact. *)
+let rec crosses u v = function
+  | [] -> false
+  | p :: rest -> p.side u <> p.side v || crosses u v rest
 
-let allows st u v = alive st u && alive st v && not (blocked st u v)
+let[@inline] blocked st u v = crosses u v st.active
 
-let rate st v = match st.rates with None -> 1.0 | Some r -> r.(v)
+let[@inline] allows st u v = alive st u && alive st v && not (blocked st u v)
+
+let restricts st =
+  Option.is_some st.alive_set || match st.active with [] -> false | _ -> true
+
+let[@inline] rate st v = match st.rates with None -> 1.0 | Some r -> r.(v)
 
 let node_rates st = st.rates
 

@@ -114,6 +114,11 @@ val allows : state -> int -> int -> bool
 (** [alive u && alive v && not (blocked u v)] — may this pair exchange
     messages right now? *)
 
+val restricts : state -> bool
+(** Can {!allows} be [false] for some pair right now?  [false] when the
+    plan has no churn and no active partition window: the engines test
+    this once per neighbour loop and skip {!allows} inside it. *)
+
 val rate : state -> int -> float
 (** Clock-rate multiplier of a node (1 for a trivial plan). *)
 

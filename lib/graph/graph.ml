@@ -28,6 +28,10 @@ let unsafe_degree g u =
 let unsafe_neighbor g u i =
   Array.unsafe_get g.nbr (Array.unsafe_get g.off u + i)
 
+let csr_offsets g = g.off
+
+let csr_neighbors g = g.nbr
+
 let iter_neighbors f g u =
   let stop = Array.unsafe_get g.off (u + 1) in
   for k = Array.unsafe_get g.off u to stop - 1 do

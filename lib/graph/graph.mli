@@ -43,6 +43,18 @@ val unsafe_neighbor : t -> int -> int -> int
 (** [neighbor] without any bounds check: [u] must be in range and
     [0 <= i < degree g u]. *)
 
+val csr_offsets : t -> int array
+(** The CSR offsets (length [n + 1]): node [u]'s neighbours sit at
+    positions [off.(u) .. off.(u + 1) - 1] of {!csr_neighbors}, so its
+    degree is [off.(u + 1) - off.(u)].  Owned by the graph: do not
+    mutate.  For loops that must not allocate per neighbour (a closure
+    passed to {!iter_neighbors} cannot carry an unboxed float
+    accumulator). *)
+
+val csr_neighbors : t -> int array
+(** The packed neighbour array (length [2m]), ascending within each
+    node's segment.  Owned by the graph: do not mutate. *)
+
 val has_edge : t -> int -> int -> bool
 (** Adjacency test, O(log(degree)). *)
 

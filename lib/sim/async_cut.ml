@@ -37,7 +37,7 @@ let g_drift = Obs.gauge "async_cut.weight_drift"
    cut weights loss-free — the thinning identity makes both views
    distribution-identical, and rejection exercises a genuinely
    different code path than the rate-rescale it must agree with. *)
-let pair_rate protocol ~du ~dv ~ru ~rv =
+let[@inline] pair_rate protocol ~du ~dv ~ru ~rv =
   match protocol with
   | Protocol.Push_pull -> (ru /. du) +. (rv /. dv)
   | Protocol.Push -> ru /. du
@@ -58,6 +58,9 @@ type engine = {
   rebuild_every : int;
   informed : Bitset.t;
   fenwick : Fenwick.t;
+  (* [touch_buf]/[scratch] carry (slot, value) batches into
+     [Fenwick.add_many]/[set_many]; [scratch] is also the per-node
+     weight array of a rebuild.  Both are dead between calls. *)
   scratch : float array;
   times : float array;
   touch_mark : Bytes.t;
@@ -76,26 +79,43 @@ type engine = {
   mutable delta_updates : int;
 }
 
+(* The engine hot path allocates nothing per neighbour.  Both
+   neighbour loops below ([node_weight], [inform_node]) walk the CSR
+   arrays directly, keep floats in unboxed locals, read clock rates
+   from the plan's array and hand Fenwick updates over in one batch:
+   no closure, no boxed float argument or result.  Fault checks are
+   hoisted: [Fault_plan.allows] is consulted only while the plan
+   restricts some pair. *)
+
+let[@inline] node_rate rates v =
+  match rates with None -> 1.0 | Some r -> r.(v)
+
 (* Cut weight of one slot, exactly as the full rebuild computes it
    (same neighbour order, same accumulation order), so a node touched
    by [apply_delta] carries the bit-identical weight a rebuild would
-   have given it. *)
-let node_weight e graph v =
+   have given it.  Inlined into its three callers so the result stays
+   unboxed. *)
+let[@inline] node_weight e graph v =
   if Bitset.mem e.informed v || not (Fault_plan.alive e.faults v) then 0.
   else begin
+    let off = Graph.csr_offsets graph and nbr = Graph.csr_neighbors graph in
+    let restricted = Fault_plan.restricts e.faults in
+    let rates = Fault_plan.node_rates e.faults in
     let dv = float_of_int (Graph.unsafe_degree graph v) in
-    let rv = Fault_plan.rate e.faults v in
+    let rv = node_rate rates v in
     let w = ref 0. in
-    Graph.iter_neighbors
-      (fun u ->
-        if Bitset.mem e.informed u && Fault_plan.allows e.faults u v then
-          w :=
-            !w
-            +. pair_rate e.protocol
-                 ~du:(float_of_int (Graph.unsafe_degree graph u))
-                 ~ru:(Fault_plan.rate e.faults u)
-                 ~dv ~rv)
-      graph v;
+    for k = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+      let u = Array.unsafe_get nbr k in
+      if
+        Bitset.mem e.informed u
+        && ((not restricted) || Fault_plan.allows e.faults u v)
+      then
+        w :=
+          !w
+          +. pair_rate e.protocol
+               ~du:(float_of_int (Graph.unsafe_degree graph u))
+               ~ru:(node_rate rates u) ~dv ~rv
+    done;
     !w *. e.rate
   end
 
@@ -162,8 +182,9 @@ let apply_delta e (d : Dynet.delta) =
   for i = 0 to !nt - 1 do
     let v = e.touch_buf.(i) in
     Bytes.unsafe_set e.touch_mark v '\000';
-    Fenwick.set e.fenwick v (node_weight e graph v)
+    e.scratch.(i) <- node_weight e graph v
   done;
+  Fenwick.set_many e.fenwick e.touch_buf e.scratch !nt;
   e.fenwick_ops <- e.fenwick_ops + !nt;
   e.delta_updates <- e.delta_updates + !nt;
   e.delta_steps <- e.delta_steps + 1
@@ -188,19 +209,29 @@ let inform_node e v =
   Fenwick.set e.fenwick v 0.;
   e.fenwick_ops <- e.fenwick_ops + 1;
   let graph = e.graph in
+  let off = Graph.csr_offsets graph and nbr = Graph.csr_neighbors graph in
+  let restricted = Fault_plan.restricts e.faults in
+  let rates = Fault_plan.node_rates e.faults in
   let dv = float_of_int (Graph.unsafe_degree graph v) in
-  let rv = Fault_plan.rate e.faults v in
-  Graph.iter_neighbors
-    (fun x ->
-      if (not (Bitset.mem e.informed x)) && Fault_plan.allows e.faults v x then begin
-        e.fenwick_ops <- e.fenwick_ops + 1;
-        Fenwick.add e.fenwick x
-          (e.rate
-          *. pair_rate e.protocol ~du:dv ~ru:rv
-               ~dv:(float_of_int (Graph.unsafe_degree graph x))
-               ~rv:(Fault_plan.rate e.faults x))
-      end)
-    graph v
+  let rv = node_rate rates v in
+  let k = ref 0 in
+  for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+    let x = Array.unsafe_get nbr i in
+    if
+      (not (Bitset.mem e.informed x))
+      && ((not restricted) || Fault_plan.allows e.faults v x)
+    then begin
+      e.touch_buf.(!k) <- x;
+      e.scratch.(!k) <-
+        e.rate
+        *. pair_rate e.protocol ~du:dv ~ru:rv
+             ~dv:(float_of_int (Graph.unsafe_degree graph x))
+             ~rv:(node_rate rates x);
+      incr k
+    end
+  done;
+  e.fenwick_ops <- e.fenwick_ops + !k;
+  Fenwick.add_many e.fenwick e.touch_buf e.scratch !k
 
 let create ?(protocol = Protocol.Push_pull) ?(rate = 1.0)
     ?(faults = Fault_plan.none) ?(use_deltas = true) ?(rebuild_every = 8192)

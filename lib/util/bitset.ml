@@ -1,7 +1,7 @@
 type t = {
-  mutable words : int array; (* 63 usable bits per word would waste one;
-                                we use 62-bit-safe 60?  No: use 63 bits
-                                of the native int, i.e. Sys.int_size. *)
+  mutable words : int array; (* Sys.int_size bits per word (63 on 64-bit
+                                hosts): member i is bit i mod int_size
+                                of word i / int_size. *)
   capacity : int;
   mutable card : int;
 }
@@ -18,12 +18,14 @@ let capacity s = s.capacity
 
 let cardinal s = s.card
 
-let check s i =
-  if i < 0 || i >= s.capacity then
-    invalid_arg
-      (Printf.sprintf "Bitset: index %d out of range [0, %d)" i s.capacity)
+let out_of_range s i =
+  invalid_arg
+    (Printf.sprintf "Bitset: index %d out of range [0, %d)" i s.capacity)
 
-let mem s i =
+let[@inline] check s i = if i < 0 || i >= s.capacity then out_of_range s i
+
+(* Inlinable: the engines test membership once per neighbour. *)
+let[@inline] mem s i =
   check s i;
   let w = i / bits_per_word and b = i mod bits_per_word in
   s.words.(w) land (1 lsl b) <> 0

@@ -14,17 +14,23 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Fenwick.get: index out of range";
   t.raw.(i)
 
-let check_weight w =
+let[@inline] check_weight w =
   if not (Float.is_finite w) then invalid_arg "Fenwick: non-finite weight"
 
-let internal_add t i delta =
+let[@inline] internal_add t i delta =
   let i = ref (i + 1) in
   while !i <= t.n do
     t.tree.(!i) <- t.tree.(!i) +. delta;
     i := !i + (!i land - !i)
   done
 
-let add t i delta =
+(* A float argument crosses a call boundary boxed.  [add] and [set] are
+   [@inline] so a caller that sees this module's implementation keeps
+   its float unboxed; a caller that does not (any caller in a build
+   with -opaque, e.g. dune's dev profile) pays one allocation per call.
+   [add_many]/[set_many] pass floats in an array instead: allocation-free
+   in every build, which is what the engine hot path needs. *)
+let[@inline] add t i delta =
   if i < 0 || i >= t.n then invalid_arg "Fenwick.add: index out of range";
   check_weight delta;
   let updated = t.raw.(i) +. delta in
@@ -33,13 +39,29 @@ let add t i delta =
   t.raw.(i) <- updated;
   internal_add t i real_delta
 
-let set t i w =
+let[@inline] set t i w =
   if i < 0 || i >= t.n then invalid_arg "Fenwick.set: index out of range";
   check_weight w;
   if w < 0. then invalid_arg "Fenwick.set: negative weight";
   let delta = w -. t.raw.(i) in
   t.raw.(i) <- w;
   internal_add t i delta
+
+let check_batch name slots values k =
+  if k < 0 || k > Array.length slots || k > Array.length values then
+    invalid_arg (Printf.sprintf "Fenwick.%s: batch length out of range" name)
+
+let add_many t slots deltas k =
+  check_batch "add_many" slots deltas k;
+  for j = 0 to k - 1 do
+    add t (Array.unsafe_get slots j) (Array.unsafe_get deltas j)
+  done
+
+let set_many t slots weights k =
+  check_batch "set_many" slots weights k;
+  for j = 0 to k - 1 do
+    set t (Array.unsafe_get slots j) (Array.unsafe_get weights j)
+  done
 
 let prefix_sum t i =
   if i < 0 || i >= t.n then invalid_arg "Fenwick.prefix_sum: index out of range";

@@ -23,6 +23,20 @@ val add : t -> int -> float -> unit
 (** Add to a slot's weight (the result must stay >= -1e-9; tiny
     negative residue from float cancellation is clamped to zero). *)
 
+val add_many : t -> int array -> float array -> int -> unit
+(** [add_many t slots deltas k] is [add t slots.(j) deltas.(j)] for
+    [j = 0 .. k-1], in that order.  Allocates nothing, even where the
+    caller cannot inline {!add} (a separately compiled caller passes a
+    float argument boxed): the engines' per-neighbour updates go
+    through here.
+    @raise Invalid_argument if [k] exceeds either array's length, or
+    as {!add} does. *)
+
+val set_many : t -> int array -> float array -> int -> unit
+(** [set_many t slots weights k] is [set t slots.(j) weights.(j)] for
+    [j = 0 .. k-1], in that order; allocation-free like {!add_many}.
+    @raise Invalid_argument as {!add_many} and {!set} do. *)
+
 val total : t -> float
 (** Sum of all weights. *)
 

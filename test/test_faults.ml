@@ -72,6 +72,27 @@ let test_plan_state_semantics () =
   check bool "closing reports a change" true changed;
   check bool "healed after the window" true (Fault_plan.allows st 0 3)
 
+(* [restricts] is the engines' licence to skip [allows]: it may be
+   false only when every pair is allowed. *)
+let test_restricts () =
+  let rng = Rng.create 3 in
+  let restricts plan = Fault_plan.restricts (Fault_plan.init plan ~n:4) in
+  check bool "no faults" false (restricts Fault_plan.none);
+  check bool "loss alone" false (restricts (Fault_plan.message_loss 0.5));
+  check bool "rates alone" false
+    (restricts (Fault_plan.make ~node_rate:(fun u -> float_of_int (u + 1)) ()));
+  check bool "churn" true (restricts (Fault_plan.node_churn ~crash:0. ~recover:1.));
+  let st =
+    Fault_plan.init
+      (Fault_plan.partition_window ~from_step:1 ~until_step:2 ~side:(fun u -> u < 2))
+      ~n:4
+  in
+  check bool "before the window" false (Fault_plan.restricts st);
+  ignore (Fault_plan.advance st rng ~step:1);
+  check bool "inside the window" true (Fault_plan.restricts st);
+  ignore (Fault_plan.advance st rng ~step:2);
+  check bool "after the window" false (Fault_plan.restricts st)
+
 let test_deliver_draw_parity () =
   (* A trivial plan must consume no randomness: deliver draws nothing
      at loss = 0 and advance draws nothing without churn. *)
@@ -522,6 +543,7 @@ let () =
             test_plan_state_semantics;
           Alcotest.test_case "trivial plan draw parity" `Quick
             test_deliver_draw_parity;
+          Alcotest.test_case "restricts" `Quick test_restricts;
         ] );
       ( "thinning",
         [

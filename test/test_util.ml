@@ -161,6 +161,32 @@ let test_fenwick_negative_clamp () =
   Fenwick.add f 0 (-1.0000000001);
   check bool "clamped to >= 0" true (Fenwick.get f 0 >= 0.)
 
+(* The batch forms are the single-slot operations in order: only the
+   first [k] pairs count, and a repeated slot accumulates. *)
+let test_fenwick_batches () =
+  let single = Fenwick.create 6 and batch = Fenwick.create 6 in
+  let slots = [| 4; 1; 4; 0; 5 |] and values = [| 0.3; 1.7; 0.1; 2.5; 9. |] in
+  for j = 0 to 3 do
+    Fenwick.set single slots.(j) values.(j)
+  done;
+  Fenwick.set_many batch slots values 4;
+  for j = 0 to 3 do
+    Fenwick.add single slots.(j) (values.(j) *. 0.5)
+  done;
+  Fenwick.add_many batch slots (Array.map (fun x -> x *. 0.5) values) 4;
+  for i = 0 to 5 do
+    check bool (Printf.sprintf "prefix %d bit-identical" i) true
+      (Int64.bits_of_float (Fenwick.prefix_sum single i)
+      = Int64.bits_of_float (Fenwick.prefix_sum batch i))
+  done;
+  check flt "slot 5 untouched" 0. (Fenwick.get batch 5);
+  Alcotest.check_raises "batch longer than its arrays"
+    (Invalid_argument "Fenwick.add_many: batch length out of range") (fun () ->
+      Fenwick.add_many batch slots values 6);
+  Alcotest.check_raises "negative weight in a set batch"
+    (Invalid_argument "Fenwick.set: negative weight") (fun () ->
+      Fenwick.set_many batch [| 2 |] [| -1. |] 1)
+
 let test_fenwick_sampling_frequencies () =
   (* find over uniform x must land proportionally to weights. *)
   let f = Fenwick.create 3 in
@@ -351,6 +377,7 @@ let () =
           Alcotest.test_case "find" `Quick test_fenwick_find;
           Alcotest.test_case "set/add" `Quick test_fenwick_set_add;
           Alcotest.test_case "negative clamp" `Quick test_fenwick_negative_clamp;
+          Alcotest.test_case "batches" `Quick test_fenwick_batches;
           Alcotest.test_case "sampling frequencies" `Quick test_fenwick_sampling_frequencies;
         ] );
       ( "table",
