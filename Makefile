@@ -8,13 +8,14 @@ build:
 test:
 	dune runtest
 
-# Paper-validation tables (quick sizes) + Bechamel micro-benchmarks.
+# Every paper-validation table (quick sizes).  Speed is measured by
+# perfbench: see perfbench/README.md.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/rumor_cli.exe -- experiment all
 
 # Full-size sweeps (slow).
 bench-full:
-	RUMOR_BENCH_FULL=1 dune exec bench/main.exe
+	dune exec bin/rumor_cli.exe -- experiment all --full
 
 doc:
 	dune build @doc

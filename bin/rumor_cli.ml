@@ -31,8 +31,7 @@
                  admission queue with explicit load shedding
      loadgen     drive a query mix against a serve daemon (open/closed
                  loop) and report throughput + latency quantiles
-     obs         observability utilities: dump the metric registry,
-                 compare BENCH_*.json reports (exit 1 on regression)
+     obs         observability utilities: dump the metric registry
 
    Every run subcommand takes --obs-out DIR (or RUMOR_OBS_OUT) to
    mirror its results as structured artifacts: a run manifest with the
@@ -1552,98 +1551,10 @@ let obs_dump_cmd =
           JSON.")
     Term.(const obs_dump $ const ())
 
-let obs_compare base_path current_path tolerance =
-  let load path =
-    match Obs.Bench_report.load path with
-    | Ok r -> r
-    | Error msg ->
-      Printf.eprintf "cannot load %s: %s\n" path msg;
-      exit 2
-  in
-  let baseline = load base_path in
-  let current = load current_path in
-  let cmp : Obs.Bench_report.comparison =
-    Obs.Bench_report.compare ~tolerance ~baseline ~current ()
-  in
-  let table =
-    Table.create
-      ~aligns:Table.[ Left; Right; Right; Right; Left ]
-      [ "entry"; "base"; "current"; "ratio"; "status" ]
-  in
-  let fmt_ns ns =
-    if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  let add status (d : Obs.Bench_report.delta) =
-    Table.add_row table
-      [
-        d.entry; fmt_ns d.base_ns; fmt_ns d.current_ns;
-        Printf.sprintf "%.3f" d.ratio; status;
-      ]
-  in
-  List.iter (add "REGRESSION") cmp.regressions;
-  List.iter (add "improved") cmp.improvements;
-  List.iter (add "ok") cmp.stable;
-  Table.print
-    ~title:
-      (Printf.sprintf "bench comparison: %s (rev %s) -> %s (rev %s)" base_path
-         baseline.Obs.Bench_report.rev current_path
-         current.Obs.Bench_report.rev)
-    table;
-  List.iter (Printf.printf "only in baseline: %s\n") cmp.only_base;
-  List.iter (Printf.printf "no baseline for: %s\n") cmp.only_current;
-  (match cmp.counter_drift with
-  | [] -> ()
-  | drift ->
-    print_endline
-      "counter drift (informational — same-seed runs are deterministic, so \
-       the code path changed):";
-    List.iter
-      (fun (name, b, c) -> Printf.printf "  %-40s %d -> %d\n" name b c)
-      drift);
-  if Obs.Bench_report.has_regression cmp then begin
-    Printf.printf "RESULT: %d entr%s slower than %.0f%% tolerance\n"
-      (List.length cmp.regressions)
-      (if List.length cmp.regressions = 1 then "y is" else "ies are")
-      (100. *. tolerance);
-    exit 1
-  end
-  else
-    Printf.printf "RESULT: no regression beyond %.0f%% tolerance\n"
-      (100. *. tolerance)
-
-let obs_compare_cmd =
-  let base =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline BENCH_*.json report.")
-  in
-  let current =
-    Arg.(
-      required & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Current BENCH_*.json report.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tolerance" ] ~docv:"T"
-          ~doc:"Slowdown fraction that flags a regression (0.25 = 25%).")
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Compare two bench reports; exit 1 when an entry slowed beyond the \
-          tolerance.")
-    Term.(const obs_compare $ base $ current $ tolerance)
-
 let obs_cmd =
   Cmd.group
-    (Cmd.info "obs"
-       ~doc:
-         "Observability utilities: dump the metric registry, compare bench \
-          reports.")
-    [ obs_dump_cmd; obs_compare_cmd ]
+    (Cmd.info "obs" ~doc:"Observability utilities: dump the metric registry.")
+    [ obs_dump_cmd ]
 
 (* --- serve --- *)
 

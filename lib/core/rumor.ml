@@ -100,7 +100,7 @@ module Static_bounds = Rumor_bounds.Static_bounds
 module Limit_laws = Rumor_bounds.Limit_laws
 
 (* Observability: Obs.Metrics, Obs.Span, Obs.Sink, Obs.Run_manifest,
-   Obs.Bench_report, Obs.Json, Obs.Clock.  (Not flattened into this
+   Obs.Json, Obs.Clock.  (Not flattened into this
    namespace: [Metrics] already names the graph-metrics module.) *)
 module Obs = Rumor_obs
 

@@ -1,7 +1,7 @@
 (** Experiment framework: every theorem-validation run in DESIGN.md's
     per-experiment index is an {!t} registered in {!Registry}
-    (see [registry.ml]); [bench/main.exe] and the CLI render them
-    through {!print}. *)
+    (see [registry.ml]); [rumor experiment] renders them through
+    {!print}. *)
 
 open Rumor_util
 

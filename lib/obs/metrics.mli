@@ -3,8 +3,8 @@
 
     The registry is global so that instrumentation points scattered
     across the engines, the Monte-Carlo runners and the checkpointing
-    layer all feed one snapshot, written into run manifests and bench
-    reports by {!Sink} / {!Bench_report}.
+    layer all feed one snapshot, written into run manifests by
+    {!Sink}.
 
     {b Overhead policy.}  The subsystem is disabled by default; every
     recording entry point ([add], [incr], [set], [observe]) is a
@@ -116,4 +116,4 @@ val snapshot : unit -> Json.t
 
 val reset : unit -> unit
 (** Zero every registered cell (handles stay valid).  For tests and
-    for section boundaries in the bench harness. *)
+    for section boundaries in a benchmark run. *)

@@ -1,6 +1,6 @@
 (* Structured-output sinks.  All writers are no-ops until an output
-   directory is configured (the CLI's --obs-out, RUMOR_OBS_OUT, or the
-   bench harness), so instrumented code can emit unconditionally. *)
+   directory is configured (the CLI's --obs-out or RUMOR_OBS_OUT), so
+   instrumented code can emit unconditionally. *)
 
 let out_dir : string option Atomic.t = Atomic.make None
 

@@ -15,10 +15,6 @@ val dir : unit -> string option
 
 val active : unit -> bool
 
-val sanitize : string -> string
-(** The file-name sanitizer used by the writers (alnum, [-_.]
-    preserved, everything else mapped to [-]). *)
-
 val append_jsonl : string -> Json.t -> unit
 (** [append_jsonl file row] appends one compact JSON line to
     [DIR/file]. *)

@@ -25,9 +25,6 @@ val total_s : t -> float
 
 val name : t -> string
 
-val totals : unit -> (string * (int * float)) list
-(** Name-sorted [(name, (entries, total seconds))]. *)
-
 val snapshot : unit -> Json.t
 
 val reset : unit -> unit

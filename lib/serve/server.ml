@@ -107,7 +107,7 @@ type t = {
   stopping : bool Atomic.t;
   started_at : float;
   (* authoritative counters: manifest and [stats] work with the
-     Metrics subsystem disabled; [m_*] mirrors feed bench reports *)
+     Metrics subsystem disabled; [m_*] mirrors feed metrics snapshots *)
   mutable requests : int;
   mutable hits : int;
   mutable misses : int;

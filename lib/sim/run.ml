@@ -22,7 +22,7 @@ let h_spread_time = Obs.histogram "run.spread_time"
 (* Adaptive (sequential-stopping) sweep accounting: replicates consumed
    versus the fixed-count budget they replaced, split by why the sweep
    stopped.  The variance-reduction gauge carries the last control-
-   variate ratio so the bench report can surface it. *)
+   variate ratio so a metrics snapshot can surface it. *)
 let m_adaptive_sweeps = Obs.counter "run.adaptive.sweeps"
 let m_adaptive_consumed = Obs.counter "run.adaptive.consumed"
 let m_adaptive_saved = Obs.counter "run.adaptive.saved"

@@ -6,7 +6,7 @@
     simulation wiring ({!Rumor_sim.Run.async_spread_sweep_adaptive})
     owns the replicate streams and feeds sample values through the
     chunk driver below; keeping the policy here means the serve layer,
-    the bench harness and the tests all share one stopping rule.
+    the CLI and the tests all share one stopping rule.
 
     {b Stopping rule.}  After each chunk the driver computes the
     normal-approximation CI half-width [z(level) * sd / sqrt(used)]

@@ -1,19 +1,6 @@
 let string name =
   match Sys.getenv_opt name with Some "" | None -> None | some -> some
 
-let warn name value expected =
-  Printf.eprintf "warning: ignoring invalid %s=%S (expected %s)\n%!" name value
-    expected
-
-let flag ?(default = false) name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some other ->
-    warn name other "a boolean: 1/0, true/false, yes/no, on/off";
-    default
-
 let int ~default name =
   match Sys.getenv_opt name with
   | None | Some "" -> default
@@ -21,17 +8,9 @@ let int ~default name =
     match int_of_string_opt (String.trim s) with
     | Some v -> v
     | None ->
-      warn name s (Printf.sprintf "an integer; using %d" default);
-      default)
-
-let float ~default name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some v -> v
-    | None ->
-      warn name s (Printf.sprintf "a number; using %g" default);
+      Printf.eprintf
+        "warning: ignoring invalid %s=%S (expected an integer; using %d)\n%!"
+        name s default;
       default)
 
 let parse_duration s =
@@ -52,14 +31,3 @@ let parse_duration s =
   else if Filename.check_suffix t "m" then num (chop "m") 60.0
   else if Filename.check_suffix t "h" then num (chop "h") 3600.0
   else num t 1.0
-
-let duration ~default name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-    match parse_duration s with
-    | Ok v -> v
-    | Error _ ->
-      warn name s
-        (Printf.sprintf "a duration like 500ms, 10s or 5m; using %gs" default);
-      default)

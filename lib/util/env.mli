@@ -1,22 +1,15 @@
-(** Environment-variable parsing shared by the bench harness and the
-    CLI.
+(** Environment-variable parsing: [RUMOR_JOBS] (the pool's default job
+    count) and [RUMOR_OBS_OUT] (the CLI's artifact directory).
 
     Unset (or empty) variables fall back silently; {e set but
     malformed} values are never swallowed — each prints one warning to
     stderr naming the variable, the rejected value and the fallback,
-    then uses the default.  (A typo'd [RUMOR_BENCH_SEED=202O] used to
-    silently benchmark seed 2020.) *)
+    then uses the default. *)
 
 val string : string -> string option
 (** [None] when unset or empty. *)
 
-val flag : ?default:bool -> string -> bool
-(** Accepts [1/0], [true/false], [yes/no], [on/off]; warns and returns
-    [default] (default [false]) on anything else. *)
-
 val int : default:int -> string -> int
-
-val float : default:float -> string -> float
 
 val parse_duration : string -> (float, string) result
 (** Parse a human-friendly duration into seconds: a positive number
@@ -26,8 +19,4 @@ val parse_duration : string -> (float, string) result
     negative, non-finite and malformed inputs are [Error _] with a
     message naming the rejected string.  Shared by every CLI duration
     flag ([--heartbeat-timeout], [--chaos-kill-every], the serve and
-    loadgen timeouts) and by {!duration}. *)
-
-val duration : default:float -> string -> float
-(** Environment-variable counterpart of {!parse_duration}, with the
-    module's usual warn-and-fall-back contract. *)
+    loadgen timeouts). *)

@@ -1,8 +1,8 @@
 (** Aligned plain-text tables for experiment output.
 
     Every experiment in the harness renders its rows through this module
-    so that [bench/main.exe] and the CLI produce uniform, diffable
-    tables (also pasted into EXPERIMENTS.md). *)
+    so that [rumor experiment] produces uniform, diffable tables (also
+    pasted into EXPERIMENTS.md). *)
 
 type align = Left | Right
 

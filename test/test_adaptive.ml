@@ -356,6 +356,58 @@ let test_sweep_all_censored () =
   let _, censored, _ = Run.sweep_counts a.Run.sweep in
   check int "all outcomes censored" 24 censored
 
+(* The replicate-savings gate, at equal CI width.  E1 (clique-256): the
+   fixed 256-replicate sweep sets the target half-width, and the
+   control-variate adaptive sweep must reach it with at least 2x fewer
+   replicates.  E5 (absolute-120, no closed form, no control): the
+   adaptive outcomes must be the fixed sweep's prefix. *)
+let test_sweep_replicate_savings () =
+  let seed = 2020 in
+  let budget = 256 in
+  let net = Dynet.of_static (Gen.clique 256) in
+  let fixed = Run.async_spread_sweep ~reps:budget (Rng.create seed) net in
+  let s = Stream.create () in
+  Array.iter (Stream.add s) (Run.usable_times fixed);
+  let fixed_hw =
+    Adaptive.half_width ~level:0.95 ~count:(Stream.count s)
+      ~sd:(Stream.stddev s)
+  in
+  let config =
+    Adaptive.config ~level:0.95 ~min_reps:16 ~max_reps:budget ~chunk:16
+      (Adaptive.Abs fixed_hw)
+  in
+  let a =
+    Run.async_spread_sweep_adaptive ~control:(Gen.clique 256) ~config
+      (Rng.create seed) net
+  in
+  let savings = float_of_int budget /. float_of_int a.Run.consumed in
+  check bool
+    (Printf.sprintf "E1 savings %.1fx >= 2x (%d of %d)" savings a.Run.consumed
+       budget)
+    true (savings >= 2.);
+  check bool
+    (Printf.sprintf "adaptive hw %.4f <= fixed hw %.4f" a.Run.half_width
+       fixed_hw)
+    true
+    (a.Run.half_width <= fixed_hw);
+  let dyn = Absolute.network ~n:120 ~rho:(10. /. 120.) in
+  let e5_budget = 64 in
+  let f5 =
+    Run.async_spread_sweep ~horizon:1e7 ~reps:e5_budget
+      (Rng.create (seed + 5)) dyn
+  in
+  let config5 =
+    Adaptive.config ~level:0.95 ~min_reps:8 ~max_reps:e5_budget ~chunk:8
+      (Adaptive.Rel 0.12)
+  in
+  let a5 =
+    Run.async_spread_sweep_adaptive ~horizon:1e7 ~config:config5
+      (Rng.create (seed + 5)) dyn
+  in
+  check bool "E5 adaptive outcomes = fixed-sweep prefix" true
+    (a5.Run.sweep.Run.outcomes
+    = Array.sub f5.Run.outcomes 0 a5.Run.consumed)
+
 let test_rao_blackwell_time () =
   (* Clique of 3: informing order fixed, residual rates are exact.
      First event from {0}: rate 2*1*2/2 = 2; second from a 2-set:
@@ -511,6 +563,8 @@ let () =
           Alcotest.test_case "control guards" `Quick test_sweep_control_guards;
           Alcotest.test_case "all-censored stops at budget" `Quick
             test_sweep_all_censored;
+          Alcotest.test_case "replicate savings >= 2x" `Quick
+            test_sweep_replicate_savings;
         ] );
       ( "wiring",
         [

@@ -501,6 +501,39 @@ let test_serve_rejects_bad_queries () =
           check str "reps above server limit" "error" (jstr "k" j);
           Unix.close c.fd))
 
+(* The warm-cache gate: a cache hit must answer at least 100x faster
+   than the cold compute of the same query (clique-256, 32 replicates),
+   with the warm pass driven closed-loop by the load generator. *)
+let test_serve_warm_hit_speedup () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let q = { (Query.default ~family:"clique" ~n:256) with Query.reps = 32 } in
+      let config = { (Server.default_config ~dir) with Server.fsync = false } in
+      with_server config (fun t port ->
+          let c = connect port in
+          let t0 = Obs.Clock.now_s () in
+          send_query c q;
+          let cold = recv_json c in
+          let cold_s = Obs.Clock.now_s () -. t0 in
+          Unix.close c.fd;
+          check str "cold is a miss" "miss" (jstr "cache" cold);
+          let warm =
+            Serve.Loadgen.run
+              {
+                (Serve.Loadgen.default_config ~port ~queries:[ q ]) with
+                Serve.Loadgen.duration_s = 0.5;
+                concurrency = 2;
+              }
+          in
+          let speedup = cold_s /. warm.Serve.Loadgen.p50_s in
+          Printf.printf "cold %.4fs, hit p50 %.6fs: %.0fx over %d hits\n"
+            cold_s warm.Serve.Loadgen.p50_s speedup warm.Serve.Loadgen.hits;
+          check bool "at least 100 hits" true (warm.Serve.Loadgen.hits >= 100);
+          check int "exactly one miss" 1 (Server.counters t).Server.misses;
+          check bool "cold / hit p50 >= 100" true (speedup >= 100.)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -532,5 +565,7 @@ let () =
           Alcotest.test_case "stalled drop" `Quick test_serve_stalled_drop;
           Alcotest.test_case "bad queries" `Quick
             test_serve_rejects_bad_queries;
+          Alcotest.test_case "warm hit >= 100x cold" `Quick
+            test_serve_warm_hit_speedup;
         ] );
     ]
