@@ -18,24 +18,42 @@ type info = {
 
 let delta_size d = Array.length d.added + Array.length d.removed
 
-(* Net per-node degree balance of the edge delta; a node whose additions
-   and removals cancel keeps its degree and is excluded. *)
+(* Net per-node degree balance of the edge delta, in an int array
+   indexed by node; a node whose additions and removals cancel keeps its
+   degree and is excluded.  Scanning the array emits [degree_changed]
+   ascending without a sort: O(max node id + delta), the same order as
+   the [Graph.patch] that produced the delta. *)
 let make_delta ~added ~removed =
-  let bal = Hashtbl.create (2 * (Array.length added + Array.length removed) + 1) in
-  let bump w (u, v) =
-    let go x =
-      let c = try Hashtbl.find bal x with Not_found -> 0 in
-      Hashtbl.replace bal x (c + w)
-    in
-    go u;
-    go v
+  let top = ref (-1) in
+  let span (u, v) =
+    if u < 0 || v < 0 then
+      invalid_arg (Printf.sprintf "Dynet.make_delta: negative node in (%d, %d)" u v);
+    top := Int.max !top (Int.max u v)
   in
-  Array.iter (bump 1) added;
-  Array.iter (bump (-1)) removed;
-  let changed = ref [] in
-  Hashtbl.iter (fun x c -> if c <> 0 then changed := x :: !changed) bal;
-  let degree_changed = Array.of_list !changed in
-  Array.sort compare degree_changed;
+  Array.iter span added;
+  Array.iter span removed;
+  let bal = Array.make (!top + 1) 0 in
+  Array.iter
+    (fun (u, v) ->
+      bal.(u) <- bal.(u) + 1;
+      bal.(v) <- bal.(v) + 1)
+    added;
+  Array.iter
+    (fun (u, v) ->
+      bal.(u) <- bal.(u) - 1;
+      bal.(v) <- bal.(v) - 1)
+    removed;
+  let count = ref 0 in
+  Array.iter (fun c -> if c <> 0 then incr count) bal;
+  let degree_changed = Array.make !count 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun x c ->
+      if c <> 0 then begin
+        degree_changed.(!k) <- x;
+        incr k
+      end)
+    bal;
   { added; removed; degree_changed }
 
 let delta_of_graphs ?max_edges prev next =

@@ -77,7 +77,8 @@ val make_delta :
   added:(int * int) array -> removed:(int * int) array -> delta
 (** Package an edge delta, deriving [degree_changed] from the net
     per-node balance of the two arrays (nodes whose additions and
-    removals cancel are excluded). *)
+    removals cancel are excluded), ascending.  O(max node id + delta).
+    @raise Invalid_argument on a negative node id. *)
 
 val delta_of_graphs :
   ?max_edges:int -> Rumor_graph.Graph.t -> Rumor_graph.Graph.t ->

@@ -17,11 +17,12 @@ let validate ~n ~p ~q ~init =
 (* Geometric skipping: number of consecutive failures before the next
    success of a Bernoulli(prob) scan, i.e. floor(log U / log(1 - prob))
    for U uniform on (0, 1].  Visiting only the successes makes a step
-   cost O(#flips) in expectation instead of O(n^2). *)
-let skip rng ~prob =
+   cost O(#flips) in expectation instead of O(n^2).  [log1m] is
+   [log1p (-. prob)], computed once per network. *)
+let skip rng ~prob ~log1m =
   if prob >= 1. then 0
   else begin
-    let s = Float.log (Rng.float_pos rng) /. Float.log1p (-.prob) in
+    let s = Float.log (Rng.float_pos rng) /. log1m in
     if Float.is_finite s && s < 1e18 then int_of_float s else max_int / 2
   end
 
@@ -51,6 +52,7 @@ let decode_pair ~n ~total k =
 let network ~n ~p ~q ?init () =
   let init = validate ~n ~p ~q ~init in
   let total = n * (n - 1) / 2 in
+  let log1m_p = Float.log1p (-.p) and log1m_q = Float.log1p (-.q) in
   {
     Dynet.n;
     name = Printf.sprintf "edge-markovian(n=%d,p=%.3g,q=%.3g)" n p q;
@@ -68,44 +70,52 @@ let network ~n ~p ~q ?init () =
           !pool.(!count) <- e;
           incr count
         in
+        (* Per-step scratch, grown on demand: the dying pool indices and
+           the born pairs, both in sampling order. *)
+        let dying = ref (Array.make 16 0) in
+        let born = ref (Array.make 16 (0, 0)) in
+        let grow a fill = Array.append a (Array.make (Array.length a) fill) in
         Dynet.make_instance (fun ~step ~informed:_ ->
             if step = 0 then Dynet.info_of_graph ~changed:true init
             else begin
               let prev = !current in
               (* Deaths: each present edge dies with probability q.
-                 Indices are collected in increasing order, so the list
-                 head is the largest and swap-removal never disturbs a
+                 Indices are collected in increasing order, so
+                 swap-removal from the last one down never disturbs a
                  later victim. *)
-              let dying = ref [] in
+              let nd = ref 0 in
               if q > 0. && !count > 0 then begin
-                let idx = ref (skip rng ~prob:q) in
+                let idx = ref (skip rng ~prob:q ~log1m:log1m_q) in
                 while !idx < !count do
-                  dying := !idx :: !dying;
-                  idx := !idx + 1 + skip rng ~prob:q
+                  if !nd = Array.length !dying then dying := grow !dying 0;
+                  !dying.(!nd) <- !idx;
+                  incr nd;
+                  idx := !idx + 1 + skip rng ~prob:q ~log1m:log1m_q
                 done
               end;
-              let removed =
-                Array.of_list (List.rev_map (fun i -> !pool.(i)) !dying)
-              in
-              List.iter
-                (fun i ->
-                  decr count;
-                  !pool.(i) <- !pool.(!count))
-                !dying;
+              let removed = Array.init !nd (fun i -> !pool.(!dying.(i))) in
+              for i = !nd - 1 downto 0 do
+                decr count;
+                !pool.(!dying.(i)) <- !pool.(!count)
+              done;
               (* Births: scan the virtual pair space; a hit on a pair
                  already present at the start of the step is discarded
                  (only absent edges run a birth trial), which costs an
                  expected extra p * m draws and keeps the chain exact. *)
-              let born = ref [] in
+              let nb = ref 0 in
               if p > 0. && total > 0 then begin
-                let k = ref (skip rng ~prob:p) in
+                let k = ref (skip rng ~prob:p ~log1m:log1m_p) in
                 while !k < total do
                   let ((u, v) as e) = decode_pair ~n ~total !k in
-                  if not (Graph.has_edge prev u v) then born := e :: !born;
-                  k := !k + 1 + skip rng ~prob:p
+                  if not (Graph.has_edge prev u v) then begin
+                    if !nb = Array.length !born then born := grow !born (0, 0);
+                    !born.(!nb) <- e;
+                    incr nb
+                  end;
+                  k := !k + 1 + skip rng ~prob:p ~log1m:log1m_p
                 done
               end;
-              let added = Array.of_list (List.rev !born) in
+              let added = Array.sub !born 0 !nb in
               Array.iter push added;
               if Array.length added = 0 && Array.length removed = 0 then
                 Dynet.info_of_graph ~changed:false prev
@@ -119,9 +129,9 @@ let network ~n ~p ~q ?init () =
             end));
   }
 
-(* The original O(n^2)-per-step sampler, kept as the bench baseline and
-   as a distributional cross-check for the sparse sampler above.  Emits
-   no deltas, so engines take the full-rebuild path. *)
+(* The direct O(n^2)-per-step sampler: a distributional cross-check for
+   the sparse sampler above (test_delta's density test).  Emits no
+   deltas, so engines take the full-rebuild path. *)
 let network_dense ~n ~p ~q ?init () =
   let init = validate ~n ~p ~q ~init in
   {

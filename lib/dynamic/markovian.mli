@@ -22,8 +22,8 @@ val network :
 val network_dense :
   n:int -> p:float -> q:float -> ?init:Graph.t -> unit -> Dynet.t
 (** The direct O(n^2)-per-step sampler (one Bernoulli trial per node
-    pair), kept as a benchmark baseline and distributional cross-check
-    for {!network}.  Emits no deltas. *)
+    pair), kept as a distributional cross-check for {!network}.  Emits
+    no deltas. *)
 
 val stationary_edge_probability : p:float -> q:float -> float
 (** The chain's stationary presence probability [p / (p + q)]

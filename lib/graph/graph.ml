@@ -9,7 +9,8 @@ type t = {
   m : int;
   off : int array; (* length n+1; off.(n) = 2m *)
   nbr : int array; (* length 2m; nbr.(off.(u) .. off.(u+1)-1) sorted increasing *)
-  edges : (int * int) array Lazy.t; (* (u, v) with u < v, lex-sorted *)
+  edges : (int * int) array option Atomic.t;
+      (* (u, v) with u < v, lex-sorted; filled on first use *)
 }
 
 let n g = g.n
@@ -55,15 +56,14 @@ let neighbor g u i =
 let has_edge g u v =
   check g u;
   check g v;
-  let lo0 = g.off.(u) in
-  let rec bsearch lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let w = g.nbr.(mid) in
-      if w = v then true else if w < v then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  bsearch lo0 g.off.(u + 1)
+  let nbr = g.nbr in
+  let stop = g.off.(u + 1) in
+  let lo = ref g.off.(u) and hi = ref stop in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get nbr mid < v then lo := mid + 1 else hi := mid
+  done;
+  !lo < stop && Array.unsafe_get nbr !lo = v
 
 let compute_edges nn mm off nbr =
   let out = Array.make mm (0, 0) in
@@ -79,10 +79,19 @@ let compute_edges nn mm off nbr =
   done;
   out
 
-let mk ~n ~m ~off ~nbr =
-  { n; m; off; nbr; edges = lazy (compute_edges n m off nbr) }
+let mk ~n ~m ~off ~nbr = { n; m; off; nbr; edges = Atomic.make None }
 
-let edges g = Lazy.force g.edges
+(* Graphs are shared across domains (one network, many replicates), so
+   the edge list is cached through an atomic rather than a [Lazy.t],
+   which raises [Lazy.Undefined] when two domains force it at once.  A
+   race computes the list twice and keeps the first. *)
+let edges g =
+  match Atomic.get g.edges with
+  | Some e -> e
+  | None ->
+    let e = compute_edges g.n g.m g.off g.nbr in
+    if Atomic.compare_and_set g.edges None (Some e) then e
+    else Option.get (Atomic.get g.edges)
 
 let iter_edges f g =
   for u = 0 to g.n - 1 do
@@ -186,81 +195,124 @@ let sort_segment a lo hi =
     a.(!j + 1) <- x
   done
 
+(* Validation finds the first malformed delta element in add-then-remove
+   order, checking each element for range, self-loop, repetition and
+   presence in that order, and raises that element's error.  The build
+   then walks per-node buckets of delta elements (a counting sort by
+   endpoint) and one int stamp array: no hashing, no lists. *)
 let patch g ~add ~remove =
   let n = g.n in
-  let norm ctx (u, v) =
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg
-        (Printf.sprintf "Graph.patch: %s edge (%d, %d) out of range" ctx u v);
-    if u = v then
-      invalid_arg (Printf.sprintf "Graph.patch: self-loop at %d" u);
-    if u < v then (u, v) else (v, u)
-  in
-  let seen = Hashtbl.create (2 * (Array.length add + Array.length remove) + 1) in
-  let claim ctx key =
-    if Hashtbl.mem seen key then
-      invalid_arg
-        (Printf.sprintf "Graph.patch: edge (%d, %d) repeated in %s" (fst key)
-           (snd key) ctx);
-    Hashtbl.add seen key ()
-  in
-  (* Per-node pending additions/removals, O(Delta) lists. *)
-  let adds = Array.make (max 1 n) [] in
-  let rems = Array.make (max 1 n) [] in
-  Array.iter
-    (fun e ->
-      let (u, v) = norm "added" e in
-      claim "the delta" (u, v);
-      if has_edge g u v then
+  let na = Array.length add in
+  let total = na + Array.length remove in
+  let edge j = if j < na then Array.unsafe_get add j else Array.unsafe_get remove (j - na) in
+  (* Range, self-loop and presence, element by element.  Elements at or
+     after the first malformed one ([bad]) are never looked at again. *)
+  let bad = ref total and absent_or_present = ref total in
+  let j = ref 0 in
+  while !j < !bad do
+    let (u, v) = edge !j in
+    if u < 0 || u >= n || v < 0 || v >= n || u = v then bad := !j
+    else begin
+      if !absent_or_present = total && has_edge g u v = (!j < na) then
+        absent_or_present := !j;
+      incr j
+    end
+  done;
+  let bad = !bad in
+  (* Counting sort of the valid prefix by endpoint: bucket u lists, in
+     delta order, every element touching u. *)
+  let start = Array.make (n + 1) 0 in
+  for j = 0 to bad - 1 do
+    let (u, v) = edge j in
+    start.(u) <- start.(u) + 1;
+    start.(v) <- start.(v) + 1
+  done;
+  for u = 1 to n do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  let bucket = Array.make (2 * bad) 0 and peer = Array.make (2 * bad) 0 in
+  for j = bad - 1 downto 0 do
+    let (u, v) = edge j in
+    let ku = start.(u) - 1 in
+    start.(u) <- ku;
+    bucket.(ku) <- j;
+    peer.(ku) <- v;
+    let kv = start.(v) - 1 in
+    start.(v) <- kv;
+    bucket.(kv) <- j;
+    peer.(kv) <- u
+  done;
+  (* Repetition: within bucket u, a neighbour already stamped u was
+     named by an earlier element.  Stamps from other buckets never
+     equal u. *)
+  let stamp = Array.make (Int.max 1 n) (-1) in
+  let repeated = ref total in
+  for u = 0 to n - 1 do
+    for k = start.(u) to start.(u + 1) - 1 do
+      let w = peer.(k) in
+      if stamp.(w) = u then (if bucket.(k) < !repeated then repeated := bucket.(k))
+      else stamp.(w) <- u
+    done
+  done;
+  let first = Int.min bad (Int.min !repeated !absent_or_present) in
+  if first < total then begin
+    let (u, v) = edge first in
+    let lo = Int.min u v and hi = Int.max u v in
+    if first = bad then
+      if u = v && u >= 0 && u < n then
+        invalid_arg (Printf.sprintf "Graph.patch: self-loop at %d" u)
+      else
         invalid_arg
-          (Printf.sprintf "Graph.patch: added edge (%d, %d) already present" u v);
-      adds.(u) <- v :: adds.(u);
-      adds.(v) <- u :: adds.(v))
-    add;
-  Array.iter
-    (fun e ->
-      let (u, v) = norm "removed" e in
-      claim "the delta" (u, v);
-      if not (has_edge g u v) then
-        invalid_arg
-          (Printf.sprintf "Graph.patch: removed edge (%d, %d) absent" u v);
-      rems.(u) <- v :: rems.(u);
-      rems.(v) <- u :: rems.(v))
-    remove;
-  let m' = g.m + Array.length add - Array.length remove in
+          (Printf.sprintf "Graph.patch: %s edge (%d, %d) out of range"
+             (if first < na then "added" else "removed")
+             u v)
+    else if first = !repeated then
+      invalid_arg
+        (Printf.sprintf "Graph.patch: edge (%d, %d) repeated in the delta" lo hi)
+    else if first < na then
+      invalid_arg
+        (Printf.sprintf "Graph.patch: added edge (%d, %d) already present" lo hi)
+    else
+      invalid_arg (Printf.sprintf "Graph.patch: removed edge (%d, %d) absent" lo hi)
+  end;
+  (* Build.  A node's degree moves by its additions minus its removals. *)
   let off' = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    off'.(u + 1) <-
-      off'.(u) + unsafe_degree g u
-      + List.length adds.(u) - List.length rems.(u)
+    let d = ref (unsafe_degree g u) in
+    for k = start.(u) to start.(u + 1) - 1 do
+      if bucket.(k) < na then incr d else decr d
+    done;
+    off'.(u + 1) <- off'.(u) + !d
   done;
+  let m' = g.m + na - (total - na) in
   let nbr' = Array.make (2 * m') 0 in
   for u = 0 to n - 1 do
-    match (adds.(u), rems.(u)) with
-    | [], [] ->
-      Array.blit g.nbr g.off.(u) nbr' off'.(u) (unsafe_degree g u)
-    | au, ru ->
+    let b0 = start.(u) and b1 = start.(u + 1) in
+    if b0 = b1 then Array.blit g.nbr g.off.(u) nbr' off'.(u) (unsafe_degree g u)
+    else begin
+      (* Stamp n + u marks u's removed neighbours; the validation stamps
+         are all below n. *)
+      let mark = n + u in
+      for k = b0 to b1 - 1 do
+        if bucket.(k) >= na then stamp.(peer.(k)) <- mark
+      done;
       let k = ref off'.(u) in
-      (* Old neighbours minus removals. *)
-      (match ru with
-      | [] ->
-        Array.blit g.nbr g.off.(u) nbr' off'.(u) (unsafe_degree g u);
-        k := off'.(u) + unsafe_degree g u
-      | _ ->
-        iter_neighbors
-          (fun v ->
-            if not (List.memq v ru) then begin
-              nbr'.(!k) <- v;
-              incr k
-            end)
-          g u);
+      for i = g.off.(u) to g.off.(u + 1) - 1 do
+        let w = g.nbr.(i) in
+        if stamp.(w) <> mark then begin
+          nbr'.(!k) <- w;
+          incr k
+        end
+      done;
       (* Fresh additions, then restore segment order. *)
-      List.iter
-        (fun v ->
-          nbr'.(!k) <- v;
-          incr k)
-        au;
+      for b = b0 to b1 - 1 do
+        if bucket.(b) < na then begin
+          nbr'.(!k) <- peer.(b);
+          incr k
+        end
+      done;
       sort_segment nbr' off'.(u) off'.(u + 1)
+    end
   done;
   mk ~n ~m:m' ~off:off' ~nbr:nbr'
 

@@ -65,6 +65,111 @@ let resolve ?jobs n =
    domain map depends only on (n, j). *)
 let chunk_bounds ~jobs ~n d = (d * n / jobs, (d + 1) * n / jobs)
 
+(* --- persistent helper domains ---
+
+   A helper is a domain parked on its own condition variable between
+   runs.  Helpers belong to the domain that first needed them (a
+   domain-local free list), so a nested [run] inside a pool body, or
+   [run]s on two domains at once, never wait on or share one another's
+   helpers: a run checks out [jobs - 1] free helpers of its calling
+   domain, spawning any that are missing, and checks them back in when
+   every chunk is done.  A domain's free helpers are stopped and joined
+   when that domain exits.  Reusing domains instead of spawning and
+   joining them per run keeps the major heap from growing with the
+   number of runs. *)
+
+type slot = Idle | Job of (unit -> unit) | Done | Quit
+
+type helper = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable slot : slot;
+  mutable domain : unit Domain.t option;
+}
+
+let live_helpers = Atomic.make 0
+
+let helpers () = Atomic.get live_helpers
+
+(* [Idle]/[Done] park the helper; the caller owns the [Done] -> [Idle]
+   transition in [await].  Jobs never raise: [run] wraps each chunk. *)
+let helper_loop h =
+  Mutex.lock h.lock;
+  let rec loop () =
+    match h.slot with
+    | Idle | Done ->
+      Condition.wait h.wake h.lock;
+      loop ()
+    | Job f ->
+      Mutex.unlock h.lock;
+      f ();
+      Mutex.lock h.lock;
+      h.slot <- Done;
+      Condition.broadcast h.wake;
+      loop ()
+    | Quit -> Mutex.unlock h.lock
+  in
+  loop ()
+
+let set_slot h s =
+  Mutex.lock h.lock;
+  h.slot <- s;
+  Condition.broadcast h.wake;
+  Mutex.unlock h.lock
+
+let await h =
+  Mutex.lock h.lock;
+  while match h.slot with Done -> false | _ -> true do
+    Condition.wait h.wake h.lock
+  done;
+  h.slot <- Idle;
+  Mutex.unlock h.lock
+
+let stop h =
+  set_slot h Quit;
+  Option.iter Domain.join h.domain;
+  Atomic.decr live_helpers
+
+let spawn_helper () =
+  let h =
+    { lock = Mutex.create (); wake = Condition.create (); slot = Idle; domain = None }
+  in
+  h.domain <- Some (Domain.spawn (fun () -> helper_loop h));
+  Atomic.incr live_helpers;
+  h
+
+let free_helpers : helper list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let free = ref [] in
+      Domain.at_exit (fun () ->
+          let hs = !free in
+          free := [];
+          List.iter stop hs);
+      free)
+
+let checkin hs =
+  let free = Domain.DLS.get free_helpers in
+  free := List.rev_append hs !free
+
+(* [k] helpers owned by the calling domain, none of them in use.  If a
+   spawn fails (the runtime's domain limit), the ones already taken go
+   back to the free list. *)
+let checkout k =
+  let free = Domain.DLS.get free_helpers in
+  let taken = ref [] in
+  (try
+     for _ = 1 to k do
+       match !free with
+       | h :: rest ->
+         free := rest;
+         taken := h :: !taken
+       | [] -> taken := spawn_helper () :: !taken
+     done
+   with e ->
+     checkin !taken;
+     raise e);
+  Array.of_list !taken
+
 let last_stats : stats option Atomic.t = Atomic.make None
 
 let last () = Atomic.get last_stats
@@ -107,17 +212,18 @@ let run ?jobs ?cancel n body =
   in
   if jobs = 1 then (match exec 0 with () -> () | exception e -> note 0 e)
   else begin
-    let workers =
-      Array.init (jobs - 1) (fun i ->
-          Domain.spawn (fun () ->
-              match exec (i + 1) with
-              | () -> ()
-              | exception e -> note (i + 1) e))
-    in
-    (* Every spawned domain is joined even if the main chunk raises
-       something fatal outside [exec] (it cannot: [exec] catches). *)
+    let workers = checkout (jobs - 1) in
+    Array.iteri
+      (fun i h ->
+        let d = i + 1 in
+        set_slot h (Job (fun () -> match exec d with () -> () | exception e -> note d e)))
+      workers;
+    (* Every chunk is awaited even if the main chunk raises something
+       fatal outside [exec] (it cannot: [exec] catches). *)
     Fun.protect
-      ~finally:(fun () -> Array.iter Domain.join workers)
+      ~finally:(fun () ->
+        Array.iter await workers;
+        checkin (Array.to_list workers))
       (fun () -> match exec 0 with () -> () | exception e -> note 0 e)
   end;
   let chunk =

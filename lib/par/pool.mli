@@ -10,6 +10,12 @@
     for {e any} job count, including [jobs = 1], which degrades to a
     plain in-order loop on the calling domain with no spawns at all.
 
+    The other [jobs - 1] chunks run on helper domains that persist
+    between runs.  Helpers belong to the domain that calls [run]: each
+    calling domain keeps its own idle helpers, spawns one only when it
+    has too few free, and stops and joins them when it exits
+    ([Domain.at_exit]).
+
     Job-count resolution, in priority order:
     + the explicit [?jobs] argument;
     + the process-wide override ({!set_default_jobs}, wired to the
@@ -17,9 +23,10 @@
     + the [RUMOR_JOBS] environment variable;
     + the detected processor count ({!nproc}).
 
-    Pools must not be nested: a task body spawning another pool would
-    multiply domains past the hardware. The Monte-Carlo runners are the
-    only intended call sites. *)
+    A [run] inside a task body, or [run]s on several domains at once,
+    never share or wait on one another's helpers, so they cannot
+    deadlock; but nesting multiplies domains past the hardware.  The
+    Monte-Carlo runners are the only intended call sites. *)
 
 type stats = {
   jobs : int;  (** domains actually used (after clamping to [n]) *)
@@ -44,7 +51,7 @@ type token
     {b Guarantee} — tokens are polled {e between} tasks only: when a
     token is cancelled, every domain finishes the task it is currently
     executing (nothing is interrupted mid-replicate, so no partial
-    outcome is ever observed), starts no further task, and joins; [run]
+    outcome is ever observed), starts no further task, and returns; [run]
     then returns normally with [stats.cancelled = true].  Tasks that
     never started are simply not executed — callers that record
     per-task outcomes see them as undecided and can re-run them later
@@ -108,8 +115,8 @@ val run :
     guarantee.
 
     {b Exception policy} — exceptions are isolated per domain: a
-    raising task stops only its own domain's chunk; every spawned
-    domain is always joined before [run] returns; and the recorded
+    raising task stops only its own domain's chunk; every chunk is
+    always awaited before [run] returns; and the recorded
     exception of the {e lowest-indexed} failing domain is re-raised
     once all domains are accounted for (deterministic choice, so a
     multi-domain failure reproduces the [jobs = 1] exception whenever
@@ -121,3 +128,7 @@ val last : unit -> stats option
 (** The {!stats} of the most recently completed [run] in this process,
     for manifest enrichment after the fact.  Updated even when [run]
     re-raises a task exception. *)
+
+val helpers : unit -> int
+(** Helper domains currently alive in the process, across every calling
+    domain: idle ones included, stopped ones not. *)

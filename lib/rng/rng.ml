@@ -49,14 +49,16 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
+(* [float] and [bool] call the inlined [Xoshiro256.next] directly, so
+   the raw draw is never boxed. *)
 let float t =
   (* Top 53 bits -> [0, 1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
+  let r = Int64.shift_right_logical (Xoshiro256.next t.gen) 11 in
   Int64.to_float r *. (1.0 /. 9007199254740992.0)
 
 let float_pos t = 1.0 -. float t
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (Xoshiro256.next t.gen) 1L = 1L
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t < p

@@ -194,13 +194,21 @@ let apply_delta e (d : Dynet.delta) =
    set, where replaying them would be slower than rebuilding. *)
 let delta_affordable e (d : Dynet.delta) =
   let graph = e.graph in
-  let est = ref (2 * Dynet.delta_size d) in
-  Array.iter
-    (fun w ->
-      if Bitset.mem e.informed w then
-        est := !est + Graph.unsafe_degree graph w)
-    d.Dynet.degree_changed;
-  2 * !est < Graph.n graph + Graph.volume graph
+  let budget = Graph.n graph + Graph.volume graph in
+  let size = Dynet.delta_size d in
+  (* The estimate starts at 2 * size, so this bound alone already
+     decides the heavy deltas (every step of a fast-churning chain)
+     without walking [degree_changed]. *)
+  if 4 * size >= budget then false
+  else begin
+    let est = ref (2 * size) in
+    Array.iter
+      (fun w ->
+        if Bitset.mem e.informed w then
+          est := !est + Graph.unsafe_degree graph w)
+      d.Dynet.degree_changed;
+    2 * !est < budget
+  end
 
 let inform_node e v =
   ignore (Bitset.add e.informed v);

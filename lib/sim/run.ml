@@ -9,7 +9,7 @@ module Graph = Rumor_graph.Graph
 (* Telemetry (lib/obs): replicate accounting for the Monte-Carlo
    runners and a spread-time histogram over completed replicates.
    Worker domains record through per-domain shards merged after the
-   pool joins, so the hot path shares nothing and totals stay exact. *)
+   pool returns, so the hot path shares nothing and totals stay exact. *)
 let m_replicates = Obs.counter "run.replicates"
 let m_sweep_replicates = Obs.counter "run.sweep.replicates"
 let m_sweep_finished = Obs.counter "run.sweep.finished"
@@ -247,7 +247,7 @@ let async_spread_sweep ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
   in
   Fun.protect
     ~finally:(fun () ->
-      (* All domains have joined (or [Pool.run] never started): merge
+      (* Every chunk has finished (or [Pool.run] never started): merge
          the shards before the final save so the persisted manifest
          counters match the outcomes, then checkpoint — including on
          the exception path, so even a fatally dying sweep keeps its

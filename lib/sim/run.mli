@@ -30,7 +30,7 @@
       sweep resumes bit-identically.
 
     Metrics are recorded through per-domain shards
-    ({!Rumor_obs.Metrics.Shard}) merged once the pool joins, so
+    ({!Rumor_obs.Metrics.Shard}) merged once the pool returns, so
     counter totals and histogram snapshots are byte-identical for any
     [jobs]. *)
 
@@ -130,8 +130,8 @@ val async_spread_sweep :
 
     - {b exception isolation} — a replicate that raises is recorded as
       [Failed] with the printed exception and the sweep carries on; the
-      sweep itself never raises because of a replicate, and spawned
-      domains are always joined ([Fun.protect]).
+      sweep itself never raises because of a replicate, and every
+      chunk is always awaited ([Fun.protect]).
     - {b watchdog} — [max_events] bounds each replicate's event count
       (see the engines' [max_events]); a capped replicate degrades to a
       [Censored] outcome carrying the time it reached.

@@ -69,8 +69,92 @@ let test_diff_roundtrip () =
     (Invalid_argument "Graph.diff: node-count mismatch") (fun () ->
       ignore (Graph.diff (Gen.cycle 4) (Gen.cycle 5)))
 
+(* The error [Graph.patch] must raise for a malformed delta, computed
+   the naive way: elements in add-then-remove order, each checked for
+   range, self-loop, repetition and presence in that order; the first
+   failure wins.  [None] for a well-formed delta. *)
+let reference_error ~n ~present add remove =
+  let seen = Hashtbl.create 16 in
+  let check is_add (u, v) =
+    let ctx = if is_add then "added" else "removed" in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      Some (Printf.sprintf "Graph.patch: %s edge (%d, %d) out of range" ctx u v)
+    else if u = v then Some (Printf.sprintf "Graph.patch: self-loop at %d" u)
+    else begin
+      let key = (min u v, max u v) in
+      if Hashtbl.mem seen key then
+        Some
+          (Printf.sprintf "Graph.patch: edge (%d, %d) repeated in the delta"
+             (fst key) (snd key))
+      else begin
+        Hashtbl.add seen key ();
+        match (is_add, Hashtbl.mem present key) with
+        | true, true ->
+          Some
+            (Printf.sprintf "Graph.patch: added edge (%d, %d) already present"
+               (fst key) (snd key))
+        | false, false ->
+          Some
+            (Printf.sprintf "Graph.patch: removed edge (%d, %d) absent" (fst key)
+               (snd key))
+        | _ -> None
+      end
+    end
+  in
+  let first is_add arr =
+    Array.fold_left
+      (fun acc e -> match acc with Some _ -> acc | None -> check is_add e)
+      None arr
+  in
+  match first true add with Some e -> Some e | None -> first false remove
+
+(* One malformation of a well-formed delta: an out-of-range, self-loop,
+   repeated, added-but-present, removed-but-absent or both-arrays
+   element, inserted at a random position of [add] or [remove], in a
+   random orientation. *)
+let corrupt rng ~n ~present (add, remove) =
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let flip (u, v) = if Rng.bool rng then (v, u) else (u, v) in
+  let insert a e =
+    let i = Rng.int rng (Array.length a + 1) in
+    Array.concat [ Array.sub a 0 i; [| e |]; Array.sub a i (Array.length a - i) ]
+  in
+  let node () = Rng.int rng n in
+  let either e =
+    if Rng.bool rng then (insert add e, remove) else (add, insert remove e)
+  in
+  let absent () =
+    let rec go k =
+      let u = node () and v = node () in
+      if k = 0 then None
+      else if u <> v && not (Hashtbl.mem present (min u v, max u v)) then Some (u, v)
+      else go (k - 1)
+    in
+    go 64
+  in
+  let present_edges = Array.of_list (List.of_seq (Hashtbl.to_seq_keys present)) in
+  match Rng.int rng 6 with
+  | 0 ->
+    let bad = if Rng.bool rng then n + Rng.int rng 3 else -1 - Rng.int rng 3 in
+    either (flip (node (), bad))
+  | 1 ->
+    let u = node () in
+    either (u, u)
+  | 2 when Array.length add > 0 -> (insert add (flip (pick add)), remove)
+  | 2 when Array.length remove > 0 -> (add, insert remove (flip (pick remove)))
+  | 3 when Array.length present_edges > 0 -> (insert add (flip (pick present_edges)), remove)
+  | 4 -> (
+    match absent () with Some e -> (add, insert remove (flip e)) | None -> (add, remove))
+  | 5 when Array.length add > 0 -> (add, insert remove (flip (pick add)))
+  | 5 when Array.length remove > 0 -> (insert add (flip (pick remove)), remove)
+  | _ ->
+    let u = node () in
+    either (u, u)
+
 (* QCheck: a random patch sequence stays equal to a from-scratch oracle
-   built from the maintained edge set. *)
+   built from the maintained edge set, and every malformed variant of a
+   round's delta (one to three malformations) raises exactly the
+   reference error. *)
 let prop_patch_matches_oracle =
   QCheck.Test.make ~name:"patch sequence matches from-scratch oracle"
     ~count:60
@@ -90,9 +174,31 @@ let prop_patch_matches_oracle =
             else if Rng.bernoulli rng 0.3 then adds := (u, v) :: !adds
           done
         done;
-        g :=
-          Graph.patch !g ~add:(Array.of_list !adds)
-            ~remove:(Array.of_list !rems);
+        let delta = (Array.of_list !adds, Array.of_list !rems) in
+        for _variant = 1 to 4 do
+          let add, remove =
+            let d = ref delta in
+            for _ = 0 to Rng.int rng 3 do
+              d := corrupt rng ~n ~present !d
+            done;
+            !d
+          in
+          let got =
+            match Graph.patch !g ~add ~remove with
+            | _ -> None
+            | exception Invalid_argument m -> Some m
+          in
+          match (reference_error ~n ~present add remove, got) with
+          | None, None -> ()
+          | Some want, None ->
+            QCheck.Test.fail_reportf "accepted a delta that must raise %S" want
+          | None, Some got ->
+            QCheck.Test.fail_reportf "rejected a well-formed delta: %S" got
+          | Some want, Some got ->
+            if got <> want then
+              QCheck.Test.fail_reportf "raised %S, expected %S" got want
+        done;
+        g := Graph.patch !g ~add:(fst delta) ~remove:(snd delta);
         List.iter (fun e -> Hashtbl.replace present e ()) !adds;
         List.iter (fun e -> Hashtbl.remove present e) !rems;
         let oracle =
@@ -105,6 +211,55 @@ let prop_patch_matches_oracle =
           ok := false
       done;
       !ok)
+
+(* QCheck: [make_delta]'s [degree_changed] is the sorted set of nodes
+   with a non-zero net balance, as a Hashtbl oracle counts it.  Arrays
+   may be empty, and a removed copy of an added pair cancels it. *)
+let prop_make_delta_matches_oracle =
+  QCheck.Test.make ~name:"make_delta matches a Hashtbl oracle" ~count:200
+    QCheck.(pair (int_range 1 24) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let pairs () =
+        Array.init (Rng.int rng 7) (fun _ -> (Rng.int rng n, Rng.int rng n))
+      in
+      let added = pairs () in
+      let removed =
+        let r = pairs () in
+        if Array.length added > 0 && Rng.bool rng then
+          Array.append r (Array.sub added 0 (1 + Rng.int rng (Array.length added)))
+        else r
+      in
+      let bal = Hashtbl.create 16 in
+      let bump w (u, v) =
+        List.iter
+          (fun x ->
+            let c = Option.value ~default:0 (Hashtbl.find_opt bal x) in
+            Hashtbl.replace bal x (c + w))
+          [ u; v ]
+      in
+      Array.iter (bump 1) added;
+      Array.iter (bump (-1)) removed;
+      let expect =
+        Hashtbl.fold (fun x c acc -> if c <> 0 then x :: acc else acc) bal []
+        |> List.sort compare
+      in
+      let d = Dynet.make_delta ~added ~removed in
+      Array.to_list d.Dynet.degree_changed = expect
+      && d.Dynet.added == added && d.Dynet.removed == removed)
+
+let test_make_delta_cases () =
+  let changed ~added ~removed =
+    Array.to_list (Dynet.make_delta ~added ~removed).Dynet.degree_changed
+  in
+  check (Alcotest.list int) "empty" [] (changed ~added:[||] ~removed:[||]);
+  check (Alcotest.list int) "node 1 cancels" [ 0; 2 ]
+    (changed ~added:[| (1, 0) |] ~removed:[| (2, 1) |]);
+  check (Alcotest.list int) "everything cancels" []
+    (changed ~added:[| (3, 4); (4, 5) |] ~removed:[| (5, 4); (4, 3) |]);
+  Alcotest.check_raises "negative node"
+    (Invalid_argument "Dynet.make_delta: negative node in (-1, 2)") (fun () ->
+      ignore (Dynet.make_delta ~added:[||] ~removed:[| (-1, 2) |]))
 
 (* --- the Dynet.delta contract, per shipped family --- *)
 
@@ -257,6 +412,43 @@ let test_markovian_density_cross_check () =
   let dd = density (Markovian.network_dense ~n ~p ~q ()) 9 in
   check bool "sparse near stationary" true (Float.abs (ds -. target) < 0.08);
   check bool "dense near stationary" true (Float.abs (dd -. target) < 0.08)
+
+(* --- allocation of the churn step --- *)
+
+(* Minor words per flipped edge of [Dynet.next] on the sweep-churn
+   network (n = 1024, p = 4/n, q = 0.5, started at its stationary
+   density; about 4 050 flips per step).  The tuple-Hashtbl patch and
+   the polymorphic-Hashtbl delta it replaced, with boxed int64 random
+   state, allocated 68.4 words per flip in the dev profile; the bound
+   is half of that.  The step now takes about 9: the born pairs and
+   boxed floats.  Its arrays of more than 256 words go straight to the
+   major heap and are not counted. *)
+let max_words_per_flip = 34.
+
+let test_churn_alloc () =
+  let n = 1024 in
+  let p = 4. /. float_of_int n and q = 0.5 in
+  let init =
+    Gen.erdos_renyi (Rng.create 5) n (Markovian.stationary_edge_probability ~p ~q)
+  in
+  let inst = (Markovian.network ~n ~p ~q ~init ()).Dynet.spawn (Rng.create 9) in
+  let informed = Bitset.create n in
+  for _ = 1 to 5 do
+    ignore (Dynet.next inst ~informed)
+  done;
+  let flips = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 40 do
+    match (Dynet.next inst ~informed).Dynet.delta with
+    | Some d -> flips := !flips + Dynet.delta_size d
+    | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool "the chain churns" true (!flips > 40 * 1000);
+  let w = words /. float_of_int !flips in
+  if w > max_words_per_flip then
+    Alcotest.failf "%.1f minor words per flipped edge (bound %.0f)" w
+      max_words_per_flip
 
 (* --- differential: delta path vs rebuild path --- *)
 
@@ -458,6 +650,8 @@ let () =
           Alcotest.test_case "rejects" `Quick test_patch_rejects;
           Alcotest.test_case "diff round-trip" `Quick test_diff_roundtrip;
           QCheck_alcotest.to_alcotest prop_patch_matches_oracle;
+          Alcotest.test_case "make_delta cases" `Quick test_make_delta_cases;
+          QCheck_alcotest.to_alcotest prop_make_delta_matches_oracle;
         ] );
       ( "dynet-contract",
         [
@@ -469,6 +663,7 @@ let () =
           Alcotest.test_case "extremes" `Quick test_markovian_extremes;
           Alcotest.test_case "deterministic" `Quick test_markovian_deterministic;
           Alcotest.test_case "density vs dense" `Quick test_markovian_density_cross_check;
+          Alcotest.test_case "churn step allocation" `Quick test_churn_alloc;
         ] );
       ( "differential",
         [

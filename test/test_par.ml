@@ -169,6 +169,116 @@ let test_global_token_drains_every_pool () =
   let st = Pool.run ~jobs:2 6 (fun ~domain:_ _ -> ()) in
   check bool "reset global runs normally" false st.Pool.cancelled
 
+(* --- persistent helper domains --- *)
+
+let test_helpers_reused () =
+  (* 200 runs at jobs = 3 over 3 tasks run every chunk on the calling
+     domain or one of its two helpers; a pool that spawned its domains
+     per run would show hundreds of domain ids. *)
+  let seen = Hashtbl.create 8 in
+  let ids = Array.make 3 0 in
+  for _ = 1 to 200 do
+    ignore
+      (Pool.run ~jobs:3 3 (fun ~domain _ -> ids.(domain) <- (Domain.self () :> int)));
+    Array.iter (fun id -> Hashtbl.replace seen id ()) ids
+  done;
+  check bool
+    (Printf.sprintf "at most 3 distinct domains (saw %d)" (Hashtbl.length seen))
+    true
+    (Hashtbl.length seen <= 3)
+
+let churn_net () = Markovian.network ~n:32 ~p:0.1 ~q:0.3 ~init:(Gen.cycle 32) ()
+
+let sweep_outcomes ~jobs net =
+  (Run.async_spread_sweep ~jobs ~reps:8 (Rng.create 77) net).Run.outcomes
+
+let test_nested_and_concurrent () =
+  (* Helpers belong to the calling domain: a pool inside a pool body and
+     pools on two domains at once neither deadlock nor share a helper,
+     and each returns the jobs = 1 outcomes. *)
+  let net = churn_net () in
+  let reference = sweep_outcomes ~jobs:1 net in
+  let nested = Array.make 2 [||] in
+  ignore
+    (Pool.run ~jobs:2 2 (fun ~domain:_ i -> nested.(i) <- sweep_outcomes ~jobs:2 net));
+  Array.iteri
+    (fun i o -> check bool (Printf.sprintf "nested pool %d" i) true (o = reference))
+    nested;
+  let helpers_before = Pool.helpers () in
+  let a = Domain.spawn (fun () -> sweep_outcomes ~jobs:2 net)
+  and b = Domain.spawn (fun () -> sweep_outcomes ~jobs:2 net) in
+  check bool "concurrent caller a" true (Domain.join a = reference);
+  check bool "concurrent caller b" true (Domain.join b = reference);
+  check int "exited callers left no helper" helpers_before (Pool.helpers ())
+
+module Query = Serve.Query
+module Server = Serve.Server
+
+(* A minimal JSONL client: one request, one response line. *)
+let query_once port q =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let line = Bytes.of_string (Obs.Json.to_string (Query.to_json q) ^ "\n") in
+      let sent = ref 0 in
+      while !sent < Bytes.length line do
+        sent := !sent + Unix.write fd line !sent (Bytes.length line - !sent)
+      done;
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let deadline = Unix.gettimeofday () +. 60. in
+      while not (String.contains (Buffer.contents buf) '\n') do
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then Alcotest.fail "no response from the server";
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> ()
+        | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Alcotest.fail "server closed the connection"
+          | k -> Buffer.add_subbytes buf chunk 0 k)
+      done;
+      Buffer.contents buf)
+
+let test_server_cycles () =
+  (* Each cycle's compute domain runs one cold query at jobs = 2, which
+     gives it a helper; stopping the server must stop that helper too.
+     Leaked helpers would pile up towards the runtime's domain limit. *)
+  let dir = Filename.temp_file "rumor-par-serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let before = Pool.helpers () in
+      for i = 1 to 50 do
+        let config =
+          { (Server.default_config ~dir) with Server.jobs = Some 2; fsync = false }
+        in
+        let t = Server.create config in
+        let d = Domain.spawn (fun () -> Server.serve t) in
+        let q = { (Query.default ~family:"clique" ~n:16) with Query.reps = 4; seed = i } in
+        let reply =
+          Fun.protect
+            ~finally:(fun () ->
+              Server.stop t;
+              Domain.join d)
+            (fun () -> query_once (Server.port t) q)
+        in
+        check bool "a cold answer" true
+          (Obs.Json.member "cache" (Obs.Json.parse_exn reply)
+          = Some (Obs.Json.String "miss"));
+        check int (Printf.sprintf "no helper left after cycle %d" i) before
+          (Pool.helpers ())
+      done)
+
 (* --- Rng.derive: the index-keyed streams under everything --- *)
 
 let test_derive () =
@@ -396,6 +506,11 @@ let () =
             test_exception_isolation;
           Alcotest.test_case "sequential exception" `Quick
             test_single_domain_exception;
+          Alcotest.test_case "helpers reused" `Quick test_helpers_reused;
+          Alcotest.test_case "nested and concurrent callers" `Quick
+            test_nested_and_concurrent;
+          Alcotest.test_case "server cycles stop their helpers" `Quick
+            test_server_cycles;
         ] );
       ( "cancellation",
         [
