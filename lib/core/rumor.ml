@@ -60,11 +60,10 @@ module Fault_plan = Rumor_faults.Fault_plan
 module Checkpoint = Rumor_faults.Checkpoint
 module Inject = Rumor_faults.Inject
 
-(* Supervised campaign layer: durable WAL journal, replicate
-   supervision (deadlines, retry/backoff, failure budget), crash-safe
-   campaign runner with graceful shutdown and bit-identical resume. *)
+(* Supervised campaign layer: durable WAL journal, crash-safe
+   campaign runner (per-replicate deadlines, task retry/backoff,
+   failure budget) with graceful shutdown and bit-identical resume. *)
 module Wal = Rumor_harness.Wal
-module Supervisor = Rumor_harness.Supervisor
 module Campaign = Rumor_harness.Campaign
 
 (* Multi-process campaign coordination: wire protocol, lease/epoch

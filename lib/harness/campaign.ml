@@ -4,10 +4,18 @@ module Obs = Rumor_obs.Metrics
 module Clock = Rumor_obs.Clock
 module Json = Rumor_obs.Json
 
-(* Telemetry (lib/obs): task-level mirrors of the replicate-level
-   counters in Supervisor — same names, same cells, one registry. *)
+(* Telemetry (lib/obs): task attempts retried and tasks quarantined. *)
 let m_retries = Obs.counter "harness.retries"
 let m_quarantined = Obs.counter "harness.quarantined"
+
+type classification = Transient | Poison
+
+(* Transient = the environment may behave differently next time;
+   poison = a deterministic task would fail identically forever
+   (retrying it burns the budget and hides the bug). *)
+let default_classify = function
+  | Sys_error _ | Unix.Unix_error (_, _, _) | Out_of_memory -> Transient
+  | _ -> Poison
 
 type task = {
   id : string;
@@ -29,7 +37,7 @@ type config = {
   backoff_s : float;
   fail_budget : float;
   fsync : bool;
-  classify : exn -> Supervisor.classification;
+  classify : exn -> classification;
 }
 
 let default_config ~dir =
@@ -41,7 +49,7 @@ let default_config ~dir =
     backoff_s = 0.5;
     fail_budget = 1.0;
     fsync = true;
-    classify = Supervisor.default_classify;
+    classify = default_classify;
   }
 
 type summary = {
@@ -216,7 +224,7 @@ let run ?(cancel = Pool.global) config tasks =
                     else begin
                       let err = Printexc.to_string e in
                       match config.classify e with
-                      | Supervisor.Transient when k <= config.retries ->
+                      | Transient when k <= config.retries ->
                         incr retries;
                         Obs.incr m_retries;
                         Wal.append wal

@@ -26,6 +26,15 @@
     (censored, tallied in [harness.deadline_censored]) even though
     the experiment code never heard of deadlines. *)
 
+type classification = Transient | Poison
+
+val default_classify : exn -> classification
+(** [Sys_error], [Unix.Unix_error] and [Out_of_memory] are transient
+    (the environment may behave differently next time); everything
+    else is poison (a deterministic failure would repeat on every
+    attempt).  Multi-worker campaigns classify a failed task with it
+    too. *)
+
 type task = {
   id : string;  (** journal key — stable across runs *)
   run : unit -> unit;  (** the work; must be re-runnable from scratch *)
@@ -51,13 +60,13 @@ type config = {
           task list; [1.0] disables the gate *)
   fsync : bool;  (** fsync every journal append (default; tests may
                      turn it off) *)
-  classify : exn -> Supervisor.classification;
+  classify : exn -> classification;
 }
 
 val default_config : dir:string -> config
 (** [resume = false], no deadline, [retries = 1], [backoff_s = 0.5],
     [fail_budget = 1.0], [fsync = true],
-    {!Supervisor.default_classify}. *)
+    {!default_classify}. *)
 
 type summary = {
   outcomes : (string * task_outcome) list;  (** in task-list order *)

@@ -332,7 +332,7 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
         {
           worker = !sess_id; lease; epoch; task; ok = false; wall_s; file;
           err = Some (Printexc.to_string e);
-          transient = Supervisor.default_classify e = Supervisor.Transient;
+          transient = Campaign.default_classify e = Campaign.Transient;
           data = None;
         }
   in

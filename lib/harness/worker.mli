@@ -84,5 +84,5 @@ val run :
     lets a {e partially received} frame sit before treating the
     connection as wedged and reconnecting — an idle connection with an
     empty buffer waits indefinitely.  [run_task] exceptions are
-    caught, classified with {!Supervisor.default_classify} and
+    caught, classified with {!Campaign.default_classify} and
     reported in the result frame — they never kill the worker. *)

@@ -5,6 +5,7 @@ module Run = Rumor_sim.Run
 module Fault_plan = Rumor_faults.Fault_plan
 module Rng = Rumor_rng.Rng
 module Splitmix64 = Rumor_rng.Splitmix64
+module Adaptive = Rumor_stats.Adaptive
 
 type t = {
   family : string;
@@ -326,9 +327,22 @@ let fault_plan q =
   in
   Fault_plan.make ~loss:q.loss ?node_rate ?churn ~partitions ()
 
-let sweep ?jobs ?checkpoint ?reps q =
+let sweep ?jobs ?checkpoint ?reps ?chunk ?on_chunk q =
   let reps = Option.value reps ~default:q.reps in
   let net = Family.build (family_params q) in
-  Run.async_spread_sweep ?jobs ~reps ~horizon:q.horizon ~engine:q.engine
-    ~protocol:q.protocol ~rate:q.rate ~faults:(fault_plan q)
-    ?max_events:q.max_events ?checkpoint (Rng.create q.seed) net
+  let rng = Rng.create q.seed in
+  match q.ci_width with
+  | None ->
+    Run.async_spread_sweep ?jobs ~reps ~horizon:q.horizon ~engine:q.engine
+      ~protocol:q.protocol ~rate:q.rate ~faults:(fault_plan q)
+      ?max_events:q.max_events ?checkpoint ?chunk ?on_chunk rng net
+  | Some w ->
+    let config =
+      Adaptive.config ~level:q.ci_level ~min_reps:(min 16 reps)
+        ~max_reps:reps ?chunk (Adaptive.Abs w)
+    in
+    (Run.async_spread_sweep_adaptive ?jobs ~horizon:q.horizon
+       ~engine:q.engine ~protocol:q.protocol ~rate:q.rate
+       ~faults:(fault_plan q) ?max_events:q.max_events ?checkpoint ?on_chunk
+       ~config rng net)
+      .Run.sweep

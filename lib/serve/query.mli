@@ -41,9 +41,9 @@ type t = {
   part_frac : float;
   points : float list;  (** quantile points, each in [[0,1]] *)
   ci_width : float option;
-      (** adaptive stopping: stop the server's chunked compute once the
-          CI half-width on the mean spread time reaches this absolute
-          target ([reps] stays the budget).  [None] (the default) is
+      (** adaptive stopping: stop the sweep at the first chunk boundary
+          where the CI half-width on the mean spread time reaches this
+          absolute target ([reps] stays the budget).  [None] (the default) is
           the fixed-count path.  Rendered into the canonical form only
           when present, so every pre-adaptive query keeps its
           fingerprint — old stores stay warm. *)
@@ -81,7 +81,22 @@ val fault_plan : t -> Fault_plan.t
     [slow_rate]; one partition window cutting off [round(part_frac*n)]
     nodes when [part_until > part_from]. *)
 
-val sweep : ?jobs:int -> ?checkpoint:string -> ?reps:int -> t -> Run.sweep
-(** Run (or resume) the query's sweep; [reps] overrides [q.reps] so a
-    server can compute in chunks — by the prefix property the chunks
-    concatenate into exactly the offline sample. *)
+val sweep :
+  ?jobs:int ->
+  ?checkpoint:string ->
+  ?reps:int ->
+  ?chunk:int ->
+  ?on_chunk:(Run.sweep -> unit) ->
+  t ->
+  Run.sweep
+(** Run (or resume) the query's sweep; [reps] overrides [q.reps] (by
+    the prefix property a smaller [reps] gives a prefix of the full
+    sample).  [chunk] and [on_chunk] are passed to the chunk loop (see
+    {!Rumor_sim.Run.async_spread_sweep}); the server streams partials
+    through them.
+
+    A query with [ci_width = Some w] runs
+    {!Rumor_sim.Run.async_spread_sweep_adaptive} with
+    [Adaptive.config ~level:ci_level ~min_reps:(min 16 reps)
+    ~max_reps:reps ?chunk (Abs w)] and returns its decided prefix, so
+    the stopping point depends on [chunk] (default 16). *)

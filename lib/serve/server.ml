@@ -5,8 +5,6 @@ module Proto = Rumor_harness.Proto
 module Wal = Rumor_harness.Wal
 module Provenance = Rumor_harness.Provenance
 module Run = Rumor_sim.Run
-module Adaptive = Rumor_stats.Adaptive
-module Stream = Rumor_stats.Stream
 
 type config = {
   dir : string;
@@ -225,91 +223,64 @@ let post t ev =
 let checkpoint_path t fp =
   Filename.concat (Filename.concat t.config.dir "cp") (fp ^ ".ckpt")
 
-(* Chunked execution: [reps = k] then [k + chunk] then ... resuming the
-   same checkpoint each round.  By the sweep's resume + prefix
-   guarantees the concatenation is bit-identical to one offline
-   [Run.async_spread_sweep] call at the full replicate count.
+(* Raised by the chunk hook once [stop] has been called: the sweep is
+   abandoned at a chunk boundary, its checkpoint kept for a restart. *)
+exception Shutting_down
 
-   When the query carries [ci_width = Some w] the chunk boundary doubles
-   as an adaptive stopping decision: once the CI half-width on the mean
-   spread time over the prefix reaches [w] (at [ci_level]), the loop
-   stops early and the store entry records the actually consumed
-   prefix.  Because the decision only ever truncates to a replicate
-   prefix, the served sample stays bit-identical to the same prefix of
-   the fixed-count run. *)
-let adaptive_stop (q : Query.t) ~consumed sweep =
-  match q.Query.ci_width with
-  | None -> false
-  | Some w ->
-    let config =
-      Adaptive.config ~level:q.Query.ci_level
-        ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps
-        (Adaptive.Abs w)
-    in
-    let s = Stream.create () in
-    Array.iter (Stream.add s) (Run.usable_times sweep);
-    (match
-       Adaptive.decide config ~consumed ~used:(Stream.count s)
-         ~mean:(Stream.mean s) ~sd:(Stream.stddev s)
-     with
-     | Adaptive.Stop Adaptive.Converged -> true
-     | Adaptive.Stop Adaptive.Budget | Adaptive.Continue -> false)
-
+(* One [Query.sweep] call per query, in chunks of [config.chunk]: the
+   network is built and the checkpoint loaded once, and the chunk hook
+   streams partial quantiles over each decided prefix.  By the sweep's
+   prefix guarantee the result is bit-identical to one offline
+   [Query.sweep] of the query.  A [ci_width] query stops at the first
+   chunk boundary where its CI is narrow enough; the store entry then
+   records the consumed prefix, still bit-identical to the same prefix
+   of the fixed-count run. *)
 let compute t (job : job) =
   let q = job.j_query in
   let fp = job.j_fp in
   let cp = checkpoint_path t fp in
   let t0 = Clock.now_s () in
-  try
-    let k = ref 0 in
-    let last = ref None in
-    let aborted = ref false in
-    let converged = ref false in
-    while !k < q.reps && not !aborted && not !converged do
-      if Atomic.get t.stopping then aborted := true
-      else begin
-        if t.config.throttle_s > 0. then Unix.sleepf t.config.throttle_s;
-        let k' = min q.reps (!k + t.config.chunk) in
-        let sweep =
-          Query.sweep ?jobs:t.config.jobs ~checkpoint:cp ~reps:k' q
-        in
-        k := k';
-        last := Some sweep;
-        if adaptive_stop q ~consumed:!k sweep then converged := true
-        else if !k < q.reps then begin
-          let finished, _, _ = Run.sweep_counts sweep in
-          post t
-            (Partial
-               {
-                 fp;
-                 done_reps = !k;
-                 finished;
-                 quantiles = Run.quantiles_of_sweep sweep q.points;
-               })
-        end
-      end
-    done;
-    if !aborted then post t (Failed { fp; error = "server shutting down" })
-    else begin
-      let sweep = Option.get !last in
-      let finished, censored, failed = Run.sweep_counts sweep in
-      let entry =
-        {
-          Store.query = q;
-          quantiles = Run.quantiles_of_sweep sweep q.points;
-          reps = !k;
-          finished;
-          censored;
-          failed;
-          wall_s = Clock.now_s () -. t0;
-        }
-      in
-      (* The checkpoint only matters for crash resume; the WAL-journaled
-         store is the durable artifact now. *)
-      (try Sys.remove cp with Sys_error _ -> ());
-      post t (Done { fp; entry })
-    end
-  with e -> post t (Failed { fp; error = Printexc.to_string e })
+  let throttle () =
+    if t.config.throttle_s > 0. then Unix.sleepf t.config.throttle_s
+  in
+  let on_chunk sweep =
+    let finished, _, _ = Run.sweep_counts sweep in
+    post t
+      (Partial
+         {
+           fp;
+           done_reps = Array.length sweep.Run.outcomes;
+           finished;
+           quantiles = Run.quantiles_of_sweep sweep q.points;
+         });
+    if Atomic.get t.stopping then raise Shutting_down;
+    throttle ()
+  in
+  match
+    throttle ();
+    Query.sweep ?jobs:t.config.jobs ~checkpoint:cp ~chunk:t.config.chunk
+      ~on_chunk q
+  with
+  | sweep ->
+    let finished, censored, failed = Run.sweep_counts sweep in
+    let entry =
+      {
+        Store.query = q;
+        quantiles = Run.quantiles_of_sweep sweep q.points;
+        reps = Array.length sweep.Run.outcomes;
+        finished;
+        censored;
+        failed;
+        wall_s = Clock.now_s () -. t0;
+      }
+    in
+    (* The checkpoint only matters for crash resume; the WAL-journaled
+       store is the durable artifact now. *)
+    (try Sys.remove cp with Sys_error _ -> ());
+    post t (Done { fp; entry })
+  | exception Shutting_down ->
+    post t (Failed { fp; error = "server shutting down" })
+  | exception e -> post t (Failed { fp; error = Printexc.to_string e })
 
 let compute_loop t =
   let rec go () =

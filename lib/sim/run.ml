@@ -30,10 +30,10 @@ let m_adaptive_converged = Obs.counter "run.adaptive.converged"
 let m_adaptive_budget = Obs.counter "run.adaptive.budget"
 let g_adaptive_vr = Obs.gauge "run.adaptive.variance_ratio"
 
-(* Owned by the lib/harness supervision layer (hence the name), but
-   incremented here because this is where every replicate's engine
-   call lives: a replicate stopped by its wall-clock deadline is
-   recorded the moment it is censored, whichever runner ran it. *)
+(* Named for the campaign harness, whose [--deadline] installs the
+   deadline, but incremented here in [run_replicate], the one engine
+   call every async runner shares: a replicate stopped by its
+   wall-clock deadline is recorded the moment it is censored. *)
 let m_deadline_censored = Obs.counter "harness.deadline_censored"
 
 type engine = Cut | Tick
@@ -119,45 +119,13 @@ let monte_carlo ?jobs ~reps rng one =
     reps;
   }
 
-let async_spread_times ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
-    ?rate ?faults ?source ?deadline_s rng net =
-  let source = source_of net source in
-  let deadline_s =
-    match deadline_s with Some _ as d -> d | None -> default_deadline ()
-  in
-  monte_carlo ?jobs ~reps rng (fun child ->
-      let stop = deadline_clock deadline_s in
-      let result =
-        match engine with
-        | Cut ->
-          Async_cut.run ?protocol ?rate ?faults ?horizon ?stop child net
-            ~source
-        | Tick ->
-          Async_tick.run ?protocol ?rate ?faults ?horizon ?stop child net
-            ~source
-      in
-      (* Attribution: censored AND the deadline clock has expired means
-         the stop brake (not the horizon) ended this replicate.  The
-         counter is atomic, not shard-batched — deadline censoring is
-         nondeterministic anyway, so it is excluded from the
-         byte-identical-snapshot contract. *)
-      (match stop with
-      | Some expired when (not result.Async_result.complete) && expired () ->
-        Obs.incr m_deadline_censored
-      | _ -> ());
-      (result.Async_result.time, result.Async_result.complete))
-
-(* --- hardened sweep --- *)
-
-(* One hardened replicate, shared by the fixed-count and adaptive
-   sweeps so their per-replicate behaviour cannot drift apart: run the
-   engine on [child], classify the result as an outcome, and return
-   the raw result too (the adaptive path replays its [informed_times]
-   into a control variate). *)
-let replicate_outcome ?protocol ?rate ?faults ?horizon ?max_events ~engine
+(* The one engine call: every async runner goes through here, so the
+   engine dispatch and the deadline attribution exist once.  An engine
+   exception propagates; the hardened sweeps turn it into [Failed]. *)
+let run_replicate ?protocol ?rate ?faults ?horizon ?max_events ~engine
     ~deadline_s ~source net child =
   let stop = deadline_clock deadline_s in
-  match
+  let result =
     match engine with
     | Cut ->
       Async_cut.run ?protocol ?rate ?faults ?horizon ?max_events ?stop child
@@ -165,19 +133,34 @@ let replicate_outcome ?protocol ?rate ?faults ?horizon ?max_events ~engine
     | Tick ->
       Async_tick.run ?protocol ?rate ?faults ?horizon ?max_events ?stop child
         net ~source
-  with
-  | result ->
-    let o =
-      if result.Async_result.complete then Finished result.Async_result.time
-      else begin
-        (match stop with
-        | Some expired when expired () -> Obs.incr m_deadline_censored
-        | _ -> ());
-        Censored result.Async_result.time
-      end
-    in
-    (o, Some result)
-  | exception e -> (Failed (Printexc.to_string e), None)
+  in
+  (* Attribution: censored AND the deadline clock has expired means
+     the stop brake (not the horizon) ended this replicate.  The
+     counter is atomic, not shard-batched — deadline censoring is
+     nondeterministic anyway, so it is excluded from the
+     byte-identical-snapshot contract. *)
+  (match stop with
+  | Some expired when (not result.Async_result.complete) && expired () ->
+    Obs.incr m_deadline_censored
+  | _ -> ());
+  result
+
+let resolve_deadline = function
+  | Some _ as d -> d
+  | None -> default_deadline ()
+
+let async_spread_times ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
+    ?rate ?faults ?source ?deadline_s rng net =
+  let source = source_of net source in
+  let deadline_s = resolve_deadline deadline_s in
+  monte_carlo ?jobs ~reps rng (fun child ->
+      let result =
+        run_replicate ?protocol ?rate ?faults ?horizon ~engine ~deadline_s
+          ~source net child
+      in
+      (result.Async_result.time, result.Async_result.complete))
+
+(* --- hardened sweeps: one chunk loop --- *)
 
 let tally_outcome shard o =
   Obs.Shard.incr shard m_sweep_replicates;
@@ -188,23 +171,36 @@ let tally_outcome shard o =
   | Censored _ -> Obs.Shard.incr shard m_sweep_censored
   | Failed _ -> Obs.Shard.incr shard m_sweep_failed
 
-let async_spread_sweep ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
-    ?rate ?faults ?source ?max_events ?checkpoint ?deadline_s rng net =
-  if reps < 1 then invalid_arg "Run: need at least one repetition";
+(* The replicate executor behind both hardened sweeps, in order:
+   - draw [base] once, derive the [total] children, fingerprint them;
+   - load the checkpoint once;
+   - run index ranges [lo, hi) of at most [chunk] replicates on the pool;
+   - at every chunk boundary ask [stop] (always, the last boundary
+     included, so a stop rule sees every prefix it decides); unless it
+     or the budget ends the sweep, save the checkpoint and hand the
+     decided prefix to [on_chunk];
+   - on the way out, exception path included, merge the shards and save.
+   A raising replicate becomes a [Failed] outcome, so the sweep never
+   raises because of one; [on_chunk] may raise to abandon the sweep,
+   and the decided replicates are still saved.  [observe r o result]
+   sees every replicate run here (not the cached ones) on its worker
+   domain.  Returns the decided prefix. *)
+let run_chunks ?jobs ?protocol ?rate ?faults ?horizon ?max_events ?checkpoint
+    ?source ?deadline_s ?on_chunk ?(observe = fun _ _ _ -> ()) ~engine ~total
+    ~chunk ~stop rng net =
+  if chunk < 1 then invalid_arg "Run: chunk must be >= 1";
   let source = source_of net source in
-  let deadline_s =
-    match deadline_s with Some _ as d -> d | None -> default_deadline ()
-  in
+  let deadline_s = resolve_deadline deadline_s in
   let base = Rng.bits64 rng in
-  let children = Array.init reps (Rng.derive base) in
+  let children = Array.init total (Rng.derive base) in
   let seeds = Array.map Checkpoint.fingerprint children in
-  let outcomes : outcome option array = Array.make reps None in
+  let outcomes : outcome option array = Array.make total None in
   (* Resume: replicate outcomes are keyed by the child RNG fingerprint
      — a pure function of (sweep seed, replicate index) — so the
      checkpoint records completed replicate {e indices}, not a
-     sequential cursor: cached outcomes line up whatever [reps] or
-     [jobs] the interrupted sweep used, and whichever scattered subset
-     of replicates it had decided. *)
+     sequential cursor: cached outcomes line up whatever [reps],
+     [chunk] or [jobs] the interrupted sweep used, and whichever
+     scattered subset of replicates it had decided. *)
   (match checkpoint with
   | Some path ->
     let cached = Checkpoint.load path in
@@ -224,44 +220,75 @@ let async_spread_sweep ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
       Obs.incr m_checkpoint_writes
     | None -> ()
   in
-  let jobs = Pool.resolve ?jobs reps in
+  let jobs = Pool.resolve ?jobs total in
   let shards = Array.init jobs (fun _ -> Obs.Shard.create ()) in
-  (* Exception isolation: a raising replicate becomes a [Failed]
-     outcome; the sweep itself never raises because of one. *)
   let one ~domain r =
     if Option.is_none outcomes.(r) then begin
-      let shard = shards.(domain) in
-      let o, _ =
-        replicate_outcome ?protocol ?rate ?faults ?horizon ?max_events ~engine
-          ~deadline_s ~source net children.(r)
+      let o, result =
+        match
+          run_replicate ?protocol ?rate ?faults ?horizon ?max_events ~engine
+            ~deadline_s ~source net children.(r)
+        with
+        | res ->
+          let t = res.Async_result.time in
+          ((if res.Async_result.complete then Finished t else Censored t),
+           Some res)
+        | exception e -> (Failed (Printexc.to_string e), None)
       in
-      tally_outcome shard o;
-      outcomes.(r) <- Some o;
-      (* Cheap incremental checkpointing (sequential mode only, where
-         the decided set is a clean prefix of the chunk order) keeps
-         the file current so an interrupted sweep loses at most the
-         replicate in flight; parallel sweeps persist on the way out. *)
-      if jobs = 1 && Option.is_some checkpoint && (r + 1) mod 32 = 0 then
-        save ()
+      observe r o result;
+      tally_outcome shards.(domain) o;
+      outcomes.(r) <- Some o
     end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Every chunk has finished (or [Pool.run] never started): merge
-         the shards before the final save so the persisted manifest
-         counters match the outcomes, then checkpoint — including on
-         the exception path, so even a fatally dying sweep keeps its
-         decided replicates. *)
-      Array.iter Obs.Shard.merge shards;
-      save ())
-    (fun () -> ignore (Pool.run ~jobs reps one));
-  {
-    outcomes =
-      Array.map
-        (function Some o -> o | None -> Failed "replicate never ran")
-        outcomes;
-    seeds;
-  }
+  let prefix hi =
+    {
+      outcomes =
+        Array.init hi (fun i ->
+            match outcomes.(i) with
+            | Some o -> o
+            | None -> Failed "replicate never ran");
+      seeds = Array.sub seeds 0 hi;
+    }
+  in
+  let rec go lo =
+    let hi = min total (lo + chunk) in
+    ignore (Pool.run ~jobs (hi - lo) (fun ~domain i -> one ~domain (lo + i)));
+    if (not (stop ~consumed:hi outcomes)) && hi < total then begin
+      save ();
+      Option.iter (fun f -> f (prefix hi)) on_chunk;
+      go hi
+    end
+    else hi
+  in
+  let consumed =
+    Fun.protect
+      ~finally:(fun () ->
+        (* Every chunk has finished (or [Pool.run] never started):
+           merge the shards before the final save so the persisted
+           manifest counters match the outcomes. *)
+        Array.iter Obs.Shard.merge shards;
+        save ())
+      (fun () -> go 0)
+  in
+  prefix consumed
+
+let async_spread_sweep ?jobs ?(reps = 30) ?horizon ?(engine = Cut) ?protocol
+    ?rate ?faults ?source ?max_events ?checkpoint ?deadline_s ?chunk ?on_chunk
+    rng net =
+  if reps < 1 then invalid_arg "Run: need at least one repetition";
+  (* Without a checkpoint there is nothing to persist between chunks:
+     one chunk, one pool run.  With one, a save every 32 replicates
+     bounds what an interrupted sweep loses, at any [jobs]. *)
+  let chunk =
+    match (chunk, checkpoint) with
+    | Some c, _ -> c
+    | None, Some _ -> 32
+    | None, None -> reps
+  in
+  run_chunks ?jobs ?protocol ?rate ?faults ?horizon ?max_events ?checkpoint
+    ?source ?deadline_s ?on_chunk ~engine ~total:reps ~chunk
+    ~stop:(fun ~consumed:_ _ -> false)
+    rng net
 
 (* --- adaptive sequential stopping --- *)
 
@@ -343,8 +370,8 @@ type adaptive = {
 }
 
 let async_spread_sweep_adaptive ?jobs ?horizon ?(engine = Cut) ?protocol ?rate
-    ?faults ?source ?max_events ?checkpoint ?deadline_s ?control ~config rng
-    net =
+    ?faults ?source ?max_events ?checkpoint ?deadline_s ?control ?on_chunk
+    ~config rng net =
   (match (control, faults) with
   | Some _, Some _ ->
     invalid_arg
@@ -363,74 +390,31 @@ let async_spread_sweep_adaptive ?jobs ?horizon ?(engine = Cut) ?protocol ?rate
       "Run.async_spread_sweep_adaptive: control graph order differs from the \
        network"
   | _ -> ());
-  let source = source_of net source in
-  let deadline_s =
-    match deadline_s with Some _ as d -> d | None -> default_deadline ()
-  in
   let max_reps = config.Adaptive.max_reps in
-  (* Exactly the fixed sweep's seeding: one parent draw, index-derived
-     children — so the replicate streams (hence outcomes, seeds and
-     checkpoint keys) of an adaptive run are the literal prefix of a
-     fixed-count run seeded identically, for any job count. *)
-  let base = Rng.bits64 rng in
-  let children = Array.init max_reps (Rng.derive base) in
-  let seeds = Array.map Checkpoint.fingerprint children in
-  let outcomes : outcome option array = Array.make max_reps None in
   let controls = Array.make max_reps Float.nan in
-  (match checkpoint with
-  | Some path ->
-    let cached = Checkpoint.load path in
-    Array.iteri
-      (fun i seed ->
-        match Hashtbl.find_opt cached seed with
-        | Some o ->
-          outcomes.(i) <- Some o;
-          Obs.incr m_checkpoint_hits
-        | None -> ())
-      seeds
-  | None -> ());
-  let save () =
-    match checkpoint with
-    | Some path ->
-      Checkpoint.save path ~seeds ~outcomes;
-      Obs.incr m_checkpoint_writes
-    | None -> ()
+  let observe r o result =
+    match (control, o, result) with
+    | Some g, Finished t, Some res ->
+      (* Martingale residual: observed time minus its conditional
+         expectation given the informing order — exactly zero-mean on
+         a static graph, whatever the protocol or rate. *)
+      controls.(r) <-
+        t
+        -. rao_blackwell_time ?protocol ?rate g
+             ~informed_times:res.Async_result.informed_times
+    | _ -> ()
   in
-  let jobs = Pool.resolve ?jobs max_reps in
-  let shards = Array.init jobs (fun _ -> Obs.Shard.create ()) in
-  let one ~domain r =
-    if Option.is_none outcomes.(r) then begin
-      let shard = shards.(domain) in
-      let o, result =
-        replicate_outcome ?protocol ?rate ?faults ?horizon ?max_events ~engine
-          ~deadline_s ~source net children.(r)
-      in
-      (match (control, o, result) with
-      | Some g, Finished t, Some res ->
-        (* Martingale residual: observed time minus its conditional
-           expectation given the informing order — exactly zero-mean on
-           a static graph, whatever the protocol or rate. *)
-        controls.(r) <-
-          t
-          -. rao_blackwell_time ?protocol ?rate g
-               ~informed_times:res.Async_result.informed_times
-      | _ -> ());
-      tally_outcome shard o;
-      outcomes.(r) <- Some o;
-      if jobs = 1 && Option.is_some checkpoint && (r + 1) mod 32 = 0 then
-        save ()
-    end
-  in
-  let consumed = ref 0 in
-  let batches = ref 0 in
-  let stopped = ref None in
   (* Prefix statistic, recomputed in index order at every chunk
      boundary: a pure function of outcomes[0..consumed), themselves
      index-keyed — so the stopping decision is independent of [jobs]
-     and of domain scheduling. *)
-  let prefix_stats () =
+     and of domain scheduling.  The stop rule runs at the last
+     boundary too, so [last] always holds the decided prefix's
+     statistics and [reason] why it stopped. *)
+  let last = ref (0, Float.nan, Float.nan, None) in
+  let reason = ref Adaptive.Budget in
+  let stop ~consumed outcomes =
     let ys = ref [] and cs = ref [] in
-    for i = !consumed - 1 downto 0 do
+    for i = consumed - 1 downto 0 do
       match outcomes.(i) with
       | Some (Finished t) ->
         ys := t :: !ys;
@@ -439,63 +423,54 @@ let async_spread_sweep_adaptive ?jobs ?horizon ?(engine = Cut) ?protocol ?rate
     done;
     let values = Array.of_list !ys in
     let used = Array.length values in
-    match control with
-    | Some _ when used > 0 && List.for_all Float.is_finite !cs ->
-      let cv =
-        Adaptive.control_variate ~values ~controls:(Array.of_list !cs) ()
-      in
-      (used, cv.Adaptive.mean, cv.Adaptive.sd, Some cv)
-    | _ ->
-      let s = Rumor_stats.Stream.create () in
-      Array.iter (Rumor_stats.Stream.add s) values;
-      (used, Rumor_stats.Stream.mean s, Rumor_stats.Stream.stddev s, None)
+    (last :=
+       match control with
+       | Some _ when used > 0 && List.for_all Float.is_finite !cs ->
+         let cv =
+           Adaptive.control_variate ~values ~controls:(Array.of_list !cs) ()
+         in
+         (used, cv.Adaptive.mean, cv.Adaptive.sd, Some cv)
+       | _ ->
+         let s = Rumor_stats.Stream.create () in
+         Array.iter (Rumor_stats.Stream.add s) values;
+         (used, Rumor_stats.Stream.mean s, Rumor_stats.Stream.stddev s, None));
+    let used, mean, sd, _ = !last in
+    match Adaptive.decide config ~consumed ~used ~mean ~sd with
+    | Adaptive.Continue -> false
+    | Adaptive.Stop r ->
+      reason := r;
+      true
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter Obs.Shard.merge shards;
-      save ())
-    (fun () ->
-      while Option.is_none !stopped do
-        let lo = !consumed in
-        let hi = min max_reps (lo + config.Adaptive.chunk) in
-        ignore (Pool.run ~jobs (hi - lo) (fun ~domain i -> one ~domain (lo + i)));
-        consumed := hi;
-        incr batches;
-        let used, mean, sd, _ = prefix_stats () in
-        match Adaptive.decide config ~consumed:hi ~used ~mean ~sd with
-        | Adaptive.Continue -> ()
-        | Adaptive.Stop reason -> stopped := Some reason
-      done);
-  let used, mean, sd, cv = prefix_stats () in
-  let reason = Option.get !stopped in
+  (* Exactly the fixed sweep's seeding and replicates, so an adaptive
+     run's outcomes, seeds and checkpoint keys are the literal prefix
+     of a fixed-count run seeded identically, for any job count. *)
+  let sweep =
+    run_chunks ?jobs ?protocol ?rate ?faults ?horizon ?max_events ?checkpoint
+      ?source ?deadline_s ?on_chunk ~observe ~engine ~total:max_reps
+      ~chunk:config.Adaptive.chunk ~stop rng net
+  in
+  let consumed = Array.length sweep.outcomes in
+  let used, mean, sd, cv = !last in
   Obs.incr m_adaptive_sweeps;
-  Obs.add m_adaptive_consumed !consumed;
-  Obs.add m_adaptive_saved (max_reps - !consumed);
-  (match reason with
+  Obs.add m_adaptive_consumed consumed;
+  Obs.add m_adaptive_saved (max_reps - consumed);
+  (match !reason with
   | Adaptive.Converged -> Obs.incr m_adaptive_converged
   | Adaptive.Budget -> Obs.incr m_adaptive_budget);
   (match cv with
   | Some c -> Obs.set g_adaptive_vr c.Adaptive.variance_ratio
   | None -> ());
   {
-    sweep =
-      {
-        outcomes =
-          Array.init !consumed (fun i ->
-              match outcomes.(i) with
-              | Some o -> o
-              | None -> Failed "replicate never ran");
-        seeds = Array.sub seeds 0 !consumed;
-      };
-    consumed = !consumed;
+    sweep;
+    consumed;
     used;
     mean;
     sd;
     half_width = Adaptive.half_width ~level:config.Adaptive.level ~count:used ~sd;
     target_width = Adaptive.target config ~mean;
     level = config.Adaptive.level;
-    reason;
-    batches = !batches;
+    reason = !reason;
+    batches = (consumed + config.Adaptive.chunk - 1) / config.Adaptive.chunk;
     max_reps;
     control = cv;
   }

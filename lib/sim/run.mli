@@ -22,12 +22,16 @@
     - The classic samplers ({!async_spread_times} and friends) return a
       bare {!mc}; a raising replicate propagates (after every worker
       domain has joined, lowest-domain exception first).
-    - The {e hardened} sweep ({!async_spread_sweep}) isolates replicate
-      exceptions as [Failed] outcomes, caps runaway replicates through
-      the engines' event-budget watchdog, and checkpoints replicate
-      outcomes to disk keyed by split-RNG fingerprint (a pure function
-      of the sweep seed and the replicate index) so an interrupted
-      sweep resumes bit-identically.
+    - The {e hardened} sweeps ({!async_spread_sweep} and
+      {!async_spread_sweep_adaptive}) isolate replicate exceptions as
+      [Failed] outcomes, cap runaway replicates through the engines'
+      event-budget watchdog, and checkpoint replicate outcomes to disk
+      keyed by split-RNG fingerprint (a pure function of the sweep
+      seed and the replicate index) so an interrupted sweep resumes
+      bit-identically.  Both are policies over one chunk loop: it
+      runs index ranges [[lo, hi)] on the pool, loads the checkpoint
+      once, and at each chunk boundary asks a stop rule (fixed count
+      or adaptive), saves the checkpoint and calls an optional hook.
 
     Metrics are recorded through per-domain shards
     ({!Rumor_obs.Metrics.Shard}) merged once the pool returns, so
@@ -122,11 +126,15 @@ val async_spread_sweep :
   ?max_events:int ->
   ?checkpoint:string ->
   ?deadline_s:float ->
+  ?chunk:int ->
+  ?on_chunk:(sweep -> unit) ->
   Rng.t ->
   Dynet.t ->
   sweep
 (** Hardened Monte-Carlo sweep on the same pool (same
-    bit-identical-sample guarantee for any [jobs]):
+    bit-identical-sample guarantee for any [jobs]).  Replicates run in
+    index chunks of [chunk]: by default one chunk of [reps] without a
+    checkpoint, and chunks of 32 with one.
 
     - {b exception isolation} — a replicate that raises is recorded as
       [Failed] with the printed exception and the sweep carries on; the
@@ -138,9 +146,10 @@ val async_spread_sweep :
     - {b checkpoint/resume} — with [checkpoint:path], decided outcomes
       are serialized to [path] keyed by each replicate's split-RNG
       fingerprint, itself a pure function of the sweep seed and the
-      replicate {e index} (no sequential cursor; incrementally in
-      sequential mode, and always on the way out — including the
-      exception path).  A later sweep with the same parent RNG seed
+      replicate {e index} (no sequential cursor).  The file is loaded
+      once, saved after every chunk but the last, and saved on the way
+      out — including the exception path.  A later sweep with the same
+      parent RNG seed
       reuses them — whatever scattered subset of indices was decided,
       and whatever [jobs] either sweep uses — and re-runs only the
       missing replicates, reproducing bit-identical samples to an
@@ -149,8 +158,14 @@ val async_spread_sweep :
       each replicate's wall-clock time via the engines' cooperative
       [stop] brake; an expired replicate degrades to [Censored] and is
       tallied in [harness.deadline_censored].
+    - {b chunk hook} — [on_chunk] receives the decided prefix
+      (replicates [0 .. hi-1]) at every chunk boundary but the last,
+      after the checkpoint save.  It may raise to abandon the sweep:
+      the decided replicates are saved and the exception propagates.
+      The server streams partial quantiles and honours shutdown
+      through it.
 
-    @raise Invalid_argument if [jobs < 1] or [reps < 1]. *)
+    @raise Invalid_argument if [jobs < 1], [reps < 1] or [chunk < 1]. *)
 
 (** {1 Adaptive sequential stopping}
 
@@ -227,12 +242,16 @@ val async_spread_sweep_adaptive :
   ?checkpoint:string ->
   ?deadline_s:float ->
   ?control:Rumor_graph.Graph.t ->
+  ?on_chunk:(sweep -> unit) ->
   config:Rumor_stats.Adaptive.config ->
   Rng.t ->
   Dynet.t ->
   adaptive
 (** Sequentially stopped variant of {!async_spread_sweep} (same
-    hardening: exception isolation, watchdog, checkpoint, deadline).
+    hardening: exception isolation, watchdog, checkpoint, deadline,
+    chunk hook), on the same chunk loop with [config.chunk] as the
+    chunk: the stopping rule is asked at every boundary, and
+    [on_chunk] runs only where the sweep goes on.
     Censored and failed replicates consume budget but carry no sample;
     an all-censored sweep therefore stops only at the budget, with
     [mean = nan] — never a silently understated estimate.

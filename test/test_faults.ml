@@ -520,6 +520,44 @@ let test_checkpoint_resume_bit_identical () =
           (resumed.Run.outcomes.(i) = uninterrupted.Run.outcomes.(i))
       done)
 
+(* A killed parallel sweep leaves a scattered subset of decided
+   indices behind, not a prefix.  Checkpoint every third replicate of
+   a clean sweep, resume at [jobs]: only the gaps run (one checkpoint
+   hit per cached index), and the result is bit-identical.  [reps]
+   spans two 32-replicate checkpoint chunks. *)
+let scattered_resume_bit_identical ~jobs () =
+  let net = Dynet.of_static (Gen.clique 12) in
+  let faults = Fault_plan.message_loss 0.2 in
+  let reps = 40 in
+  let clean = Run.async_spread_sweep ~jobs ~reps ~faults (Rng.create 42) net in
+  with_temp_file (fun path ->
+      let outcomes =
+        Array.mapi
+          (fun i o -> if i mod 3 = 0 then Some o else None)
+          clean.Run.outcomes
+      in
+      let subset =
+        Array.fold_left
+          (fun n o -> if Option.is_some o then n + 1 else n)
+          0 outcomes
+      in
+      Checkpoint.save path ~seeds:clean.Run.seeds ~outcomes;
+      with_metrics (fun () ->
+          let resumed =
+            Run.async_spread_sweep ~jobs ~reps ~faults ~checkpoint:path
+              (Rng.create 42) net
+          in
+          check int "one hit per cached replicate" subset
+            (counter_value "run.sweep.checkpoint_hits");
+          check bool "seeds agree" true (resumed.Run.seeds = clean.Run.seeds);
+          Array.iteri
+            (fun i o ->
+              check bool
+                (Printf.sprintf "replicate %d bit-identical after resume" i)
+                true
+                (o = clean.Run.outcomes.(i)))
+            resumed.Run.outcomes))
+
 let test_checkpoint_written_on_failure_path () =
   (* The Fun.protect finally must persist decided outcomes even though
      a replicate failed mid-sweep. *)
@@ -599,6 +637,10 @@ let () =
             test_checkpoint_corrupt_lines_counted;
           Alcotest.test_case "resume is bit-identical" `Quick
             test_checkpoint_resume_bit_identical;
+          Alcotest.test_case "scattered-subset resume (jobs 1)" `Quick
+            (scattered_resume_bit_identical ~jobs:1);
+          Alcotest.test_case "scattered-subset resume (jobs 4)" `Quick
+            (scattered_resume_bit_identical ~jobs:4);
           Alcotest.test_case "checkpoint survives a failing replicate" `Quick
             test_checkpoint_written_on_failure_path;
         ] );

@@ -1,13 +1,9 @@
 (* Tests for the supervised campaign harness (lib/harness): the
-   CRC-framed write-ahead log and its crash recovery, the replicate
-   supervisor (deadlines, retry/backoff, failure budget, journaled
-   resume), and the campaign runner (done-task skipping, interrupt,
-   quarantine, manifest).
-
-   The load-bearing differential tests are the kill-and-resume ones:
-   a sweep drained by a cancellation token mid-run and resumed from
-   its journal must reproduce, replicate for replicate, the outcomes
-   of an uninterrupted sweep — at jobs = 1 and jobs = 4 alike. *)
+   CRC-framed write-ahead log and its crash recovery, per-replicate
+   deadline censoring, and the campaign runner (failure
+   classification, done-task skipping, interrupt, quarantine,
+   manifest).  The replicate-level kill-and-resume differential tests
+   live with the checkpoint tests in test_faults. *)
 
 open Rumor_core.Rumor
 
@@ -213,202 +209,39 @@ let test_wal_missing_file_reads_empty () =
       check bool "missing file is an empty recovery" true
         ((not r.Wal.existed) && r.Wal.records = [] && r.Wal.corrupt_records = 0))
 
-(* --- Supervisor: parity, kill/resume, deadline, retry, budget --- *)
-
-let test_supervisor_matches_unsupervised_sweep () =
-  (* With nothing failing or timing out, the supervised sweep consumes
-     the parent RNG identically to Run.async_spread_sweep and decides
-     identical outcomes. *)
-  let net = Dynet.of_static (Gen.clique 12) in
-  let faults = Fault_plan.message_loss 0.2 in
-  let reps = 8 in
-  let plain = Run.async_spread_sweep ~reps ~faults (Rng.create 41) net in
-  let supervised = Supervisor.sweep ~reps ~faults (Rng.create 41) net in
-  check bool "seeds agree" true (supervised.Supervisor.seeds = plain.Run.seeds);
-  Array.iteri
-    (fun i o ->
-      check bool
-        (Printf.sprintf "outcome %d agrees" i)
-        true
-        (o = Some plain.Run.outcomes.(i)))
-    supervised.Supervisor.outcomes;
-  let f, c, x = Supervisor.counts supervised in
-  check bool "counts agree" true ((f, c, x) = Run.sweep_counts plain);
-  check bool "to_sweep round-trips" true
-    ((Supervisor.to_sweep supervised).Run.outcomes = plain.Run.outcomes)
-
-(* Wrap a network so the [k]-th spawn (1-based, across domains) fires
-   a cancellation — simulating SIGTERM landing mid-sweep.  The wrapped
-   spawn passes the replicate's own stream through untouched. *)
-let cancel_after_spawns k token (net : Dynet.t) =
-  let spawns = Atomic.make 0 in
-  {
-    net with
-    Dynet.spawn =
-      (fun rng ->
-        if Atomic.fetch_and_add spawns 1 + 1 >= k then Pool.cancel token;
-        net.Dynet.spawn rng);
-  }
-
-let kill_and_resume_bit_identical ~jobs () =
-  let net = Dynet.of_static (Gen.clique 12) in
-  let reps = 12 in
-  let clean = Supervisor.sweep ~jobs ~reps (Rng.create 42) net in
-  check bool "clean sweep decides everything" true
-    (Array.for_all Option.is_some clean.Supervisor.outcomes);
-  with_temp_wal (fun path ->
-      (* Phase 1: drain mid-sweep.  The token is polled between
-         replicates, so in-flight replicates finish and are journaled;
-         the rest stay undecided. *)
-      let token = Pool.token () in
-      let w = Wal.open_ ~fsync:false path in
-      let partial =
-        Supervisor.sweep ~jobs ~reps ~wal:w ~cancel:token (Rng.create 42)
-          (cancel_after_spawns 3 token net)
-      in
-      Wal.close w;
-      check bool "drained early" true partial.Supervisor.cancelled;
-      let decided =
-        Array.fold_left
-          (fun acc o -> if Option.is_some o then acc + 1 else acc)
-          0 partial.Supervisor.outcomes
-      in
-      check bool "some replicates decided" true (decided >= 1);
-      check bool "some replicates undecided" true (decided < reps);
-      (* Phase 2: resume from the journal with a fresh parent RNG of
-         the same seed; journaled outcomes are reused, missing indices
-         re-derive the same child streams. *)
-      let w2 = Wal.open_ ~fsync:false path in
-      check int "journal holds the decided outcomes" decided
-        (List.length (Wal.recovery w2).Wal.records);
-      let resumed =
-        Supervisor.sweep ~jobs ~reps ~wal:w2 (Rng.create 42) net
-      in
-      Wal.close w2;
-      check int "journal prefill count" decided resumed.Supervisor.cached;
-      Array.iteri
-        (fun i o ->
-          check bool
-            (Printf.sprintf "replicate %d bit-identical after resume" i)
-            true
-            (o = clean.Supervisor.outcomes.(i)))
-        resumed.Supervisor.outcomes)
-
-let test_kill_resume_sequential () = kill_and_resume_bit_identical ~jobs:1 ()
-let test_kill_resume_parallel () = kill_and_resume_bit_identical ~jobs:4 ()
+(* --- Deadlines: the path of [rumor campaign --deadline] --- *)
 
 let test_deadline_censors_and_counts () =
   with_metrics (fun () ->
       let net = Dynet.of_static (Gen.clique 64) in
-      let config =
-        { Supervisor.default_config with Supervisor.deadline_s = Some 1e-9 }
+      let sweep =
+        Run.async_spread_sweep ~jobs:1 ~reps:4 ~deadline_s:1e-9
+          (Rng.create 43) net
       in
-      let report =
-        Supervisor.sweep ~jobs:1 ~reps:4 ~config (Rng.create 43) net
-      in
-      let finished, censored, failed = Supervisor.counts report in
+      let finished, censored, failed = Run.sweep_counts sweep in
       check int "nothing finishes under an expired deadline" 0 finished;
       check int "every replicate censored" 4 censored;
       check int "no failures" 0 failed;
-      check int "report tally" 4 report.Supervisor.deadline_censored;
-      check int "harness.deadline_censored" 4
+      check bool "all outcomes Censored" true
+        (Array.for_all
+           (function Run.Censored _ -> true | _ -> false)
+           sweep.Run.outcomes);
+      check int "harness.deadline_censored once per replicate" 4
         (counter_value "harness.deadline_censored");
-      check int "censored replicates have no finished times" 0
-        (Array.length (Supervisor.finished_times report)))
+      check int "censored replicates have no usable times" 0
+        (Array.length (Run.usable_times sweep)))
 
-(* Raise Sys_error from the first spawn only: a transient flake. *)
-let flaky_first_spawn (net : Dynet.t) =
-  let tripped = Atomic.make false in
-  {
-    net with
-    Dynet.spawn =
-      (fun rng ->
-        if not (Atomic.exchange tripped true) then
-          raise (Sys_error "injected transient flake");
-        net.Dynet.spawn rng);
-  }
-
-let test_transient_retry_is_bit_identical () =
-  with_metrics (fun () ->
-      let net = Dynet.of_static (Gen.clique 12) in
-      let reps = 6 in
-      let clean = Supervisor.sweep ~jobs:1 ~reps (Rng.create 44) net in
-      let config =
-        {
-          Supervisor.default_config with
-          Supervisor.retries = 2;
-          backoff_s = 0.;
-        }
-      in
-      let report =
-        Supervisor.sweep ~jobs:1 ~reps ~config (Rng.create 44)
-          (flaky_first_spawn net)
-      in
-      check int "one retry consumed" 1 report.Supervisor.retried;
-      check int "harness.retries" 1 (counter_value "harness.retries");
-      check int "nothing quarantined" 0 report.Supervisor.quarantined;
-      check int "first replicate took two attempts" 2
-        report.Supervisor.attempts.(0);
-      (* The retry re-derives the same child stream: outcomes are
-         bit-identical to the run that never flaked. *)
-      Array.iteri
-        (fun i o ->
-          check bool
-            (Printf.sprintf "outcome %d identical despite the flake" i)
-            true
-            (o = clean.Supervisor.outcomes.(i)))
-        report.Supervisor.outcomes)
+(* --- Campaign --- *)
 
 let test_classification () =
   check bool "Sys_error is transient" true
-    (Supervisor.default_classify (Sys_error "x") = Supervisor.Transient);
+    (Campaign.default_classify (Sys_error "x") = Campaign.Transient);
   check bool "Out_of_memory is transient" true
-    (Supervisor.default_classify Out_of_memory = Supervisor.Transient);
+    (Campaign.default_classify Out_of_memory = Campaign.Transient);
   check bool "Failure is poison" true
-    (Supervisor.default_classify (Failure "x") = Supervisor.Poison);
+    (Campaign.default_classify (Failure "x") = Campaign.Poison);
   check bool "injected failures are poison" true
-    (Supervisor.default_classify (Inject.Injected_failure 0)
-    = Supervisor.Poison)
-
-let test_poison_quarantines_and_budget_aborts () =
-  with_metrics (fun () ->
-      let net = Dynet.of_static (Gen.clique 8) in
-      let poison =
-        { net with Dynet.spawn = (fun _ -> failwith "deterministic bug") }
-      in
-      let config =
-        {
-          Supervisor.default_config with
-          Supervisor.retries = 2;
-          backoff_s = 0.;
-          fail_budget = 0.2;
-        }
-      in
-      let token = Pool.token () in
-      let report =
-        Supervisor.sweep ~jobs:1 ~reps:10 ~cancel:token ~config
-          (Rng.create 45) poison
-      in
-      (* 0.2 * 10 = 2 failures tolerated: the third quarantine trips
-         the budget and the pool drains without touching the rest. *)
-      check int "three quarantined" 3 report.Supervisor.quarantined;
-      check int "harness.quarantined" 3 (counter_value "harness.quarantined");
-      check int "poison is never retried" 0 report.Supervisor.retried;
-      check bool "budget aborted the sweep" true report.Supervisor.aborted;
-      check bool "pool drained" true report.Supervisor.cancelled;
-      let decided =
-        Array.fold_left
-          (fun acc o -> if Option.is_some o then acc + 1 else acc)
-          0 report.Supervisor.outcomes
-      in
-      check int "rest undecided" 3 decided;
-      match report.Supervisor.outcomes.(0) with
-      | Some (Run.Failed msg) ->
-        check bool "failure message preserved" true
-          (contains ~sub:"deterministic bug" msg)
-      | _ -> Alcotest.fail "expected Failed")
-
-(* --- Campaign --- *)
+    (Campaign.default_classify (Inject.Injected_failure 0) = Campaign.Poison)
 
 let quick_config ~dir =
   { (Campaign.default_config ~dir) with Campaign.fsync = false }
@@ -611,25 +444,15 @@ let () =
           Alcotest.test_case "missing file reads empty" `Quick
             test_wal_missing_file_reads_empty;
         ] );
-      ( "supervisor",
+      ( "deadline",
         [
-          Alcotest.test_case "parity with the unsupervised sweep" `Quick
-            test_supervisor_matches_unsupervised_sweep;
-          Alcotest.test_case "kill/resume bit-identical (jobs 1)" `Quick
-            test_kill_resume_sequential;
-          Alcotest.test_case "kill/resume bit-identical (jobs 4)" `Quick
-            test_kill_resume_parallel;
-          Alcotest.test_case "deadline censoring" `Quick
+          Alcotest.test_case "sweep censoring" `Quick
             test_deadline_censors_and_counts;
-          Alcotest.test_case "transient retry bit-identity" `Quick
-            test_transient_retry_is_bit_identical;
-          Alcotest.test_case "failure classification" `Quick
-            test_classification;
-          Alcotest.test_case "poison quarantine and failure budget" `Quick
-            test_poison_quarantines_and_budget_aborts;
         ] );
       ( "campaign",
         [
+          Alcotest.test_case "failure classification" `Quick
+            test_classification;
           Alcotest.test_case "done and cached" `Quick
             test_campaign_done_and_cached;
           Alcotest.test_case "interrupt and resume" `Quick

@@ -501,6 +501,78 @@ let test_serve_rejects_bad_queries () =
           check str "reps above server limit" "error" (jstr "k" j);
           Unix.close c.fd))
 
+let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
+
+(* A checkpoint left by an earlier server (or an offline sweep) is
+   loaded once for the whole chunked compute: exactly its 4 outcomes
+   are hits, whatever the chunk count. *)
+let test_serve_preseeded_checkpoint () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let q = q32 ~reps:10 ~seed:9090 () in
+      let expected = offline_hex q in
+      let cp_dir = Filename.concat dir "cp" in
+      Unix.mkdir cp_dir 0o755;
+      let cp = Filename.concat cp_dir (Query.key q ^ ".ckpt") in
+      ignore (Query.sweep ~jobs:1 ~checkpoint:cp ~reps:4 q);
+      let config =
+        { (Server.default_config ~dir) with Server.fsync = false; chunk = 4 }
+      in
+      with_server config (fun _t port ->
+          let hits0 = counter_value "run.sweep.checkpoint_hits" in
+          let c = connect port in
+          send_query c q;
+          let j = recv_json c in
+          check str "a miss" "miss" (jstr "cache" j);
+          check bool "quantiles = offline sweep" true
+            (hex_quantiles j = expected);
+          check int "one load: the 4 cached outcomes hit once" 4
+            (counter_value "run.sweep.checkpoint_hits" - hits0);
+          check bool "checkpoint removed after Done" false
+            (Sys.file_exists cp);
+          Unix.close c.fd))
+
+(* A served [ci_width] query stops where the offline adaptive sweep
+   with the server's chunk stops, with the same bits. *)
+let test_serve_adaptive_matches_offline () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let w = 0.3 in
+      let q = { (q32 ~reps:64 ~seed:5150 ()) with Query.ci_width = Some w } in
+      let chunk = 4 in
+      let offline =
+        Run.async_spread_sweep_adaptive ~jobs:1 ~horizon:q.Query.horizon
+          ~engine:q.Query.engine ~protocol:q.Query.protocol
+          ~rate:q.Query.rate ~faults:(Query.fault_plan q)
+          ~config:
+            (Adaptive.config ~level:q.Query.ci_level
+               ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps ~chunk
+               (Adaptive.Abs w))
+          (Rng.create q.Query.seed)
+          (Family.build (Query.family_params q))
+      in
+      let expected =
+        Array.to_list (Run.quantiles_of_sweep offline.Run.sweep q.Query.points)
+        |> List.map (Printf.sprintf "%h")
+      in
+      let config =
+        { (Server.default_config ~dir) with Server.fsync = false; chunk }
+      in
+      with_server config (fun _t port ->
+          let c = connect port in
+          send_query c q;
+          let j = recv_json c in
+          check str "a result" "result" (jstr "k" j);
+          check int "same stopping point" offline.Run.consumed (jint "reps" j);
+          check bool "converged before the budget" true
+            (jint "reps" j < q.Query.reps);
+          check bool "same quantile bits" true (hex_quantiles j = expected);
+          Unix.close c.fd))
+
 (* The warm-cache gate: a cache hit must answer at least 100x faster
    than the cold compute of the same query (clique-256, 32 replicates),
    with the warm pass driven closed-loop by the load generator. *)
@@ -565,6 +637,10 @@ let () =
           Alcotest.test_case "stalled drop" `Quick test_serve_stalled_drop;
           Alcotest.test_case "bad queries" `Quick
             test_serve_rejects_bad_queries;
+          Alcotest.test_case "pre-seeded checkpoint loaded once" `Quick
+            test_serve_preseeded_checkpoint;
+          Alcotest.test_case "adaptive query = offline adaptive sweep" `Quick
+            test_serve_adaptive_matches_offline;
           Alcotest.test_case "warm hit >= 100x cold" `Quick
             test_serve_warm_hit_speedup;
         ] );
