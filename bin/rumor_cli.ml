@@ -1030,11 +1030,11 @@ let campaign_multiproc ~ids ~dir ~resume ~retries ~fail_budget ~full ~seed
       summary.Coordinator.chaos_kills summary.Coordinator.worker_restarts
       (if summary.Coordinator.worker_restarts = 1 then "" else "s");
   if summary.Coordinator.remote_reconnects > 0 then
-    Printf.printf "  %d remote reconnect%s resumed an existing worker slot\n"
+    Printf.printf "  %d worker reconnect%s resumed an existing slot\n"
       summary.Coordinator.remote_reconnects
       (if summary.Coordinator.remote_reconnects = 1 then "" else "s");
   if summary.Coordinator.rejected > 0 then
-    Printf.printf "  %d hello%s rejected at admission (token/version)\n"
+    Printf.printf "  %d hello%s rejected at admission (version/token/pid)\n"
       summary.Coordinator.rejected
       (if summary.Coordinator.rejected = 1 then "" else "s");
   if summary.Coordinator.wal_corrupt_records > 0 then

@@ -229,6 +229,7 @@ let run ?(cancel = Pool.global) config tasks =
                         Obs.incr m_retries;
                         Wal.append wal
                           (task_to_json task.id "retry" ~att:k ~err ());
+                        (* Retry backoff before the next attempt. *)
                         if config.backoff_s > 0. then
                           Unix.sleepf
                             (Float.min 30.

@@ -155,15 +155,23 @@ let incident_record ev ~worker ?detail () =
    was granted and not reclaimed at that point in the log — and its
    canonical output file actually exists (the rename precedes the
    journal append, so a trusted record always has bytes behind it
-   unless the operator deleted them; re-run in that case). *)
+   unless the operator deleted them; re-run in that case).  Also
+   returns the journal's (lease id, epoch) high-water mark, above
+   which this run's leases are stamped. *)
 let replay_done config records =
   let replay = Lease.Replay.create () in
   let done_ = Hashtbl.create 16 in
   let fenced = ref 0 in
+  let high = ref (0, 0) in
   List.iter
     (fun j ->
       let str field = Option.bind (Json.member field j) Json.to_string_opt in
       let int field = Option.bind (Json.member field j) Json.to_int_opt in
+      (match (int "lease", int "ep") with
+      | Some l, Some e ->
+        let hl, he = !high in
+        high := (Int.max hl l, Int.max he e)
+      | _ -> ());
       match (str "k", str "ev") with
       | Some "lease", Some "grant" -> (
         match (int "lease", int "ep") with
@@ -193,22 +201,36 @@ let replay_done config records =
             Hashtbl.replace done_ id ()))
       | _ -> ())
     records;
-  (done_, !fenced)
+  (done_, !fenced, !high)
 
 (* --- per-slot worker state --- *)
 
-type incarnation = {
-  mutable pid : int;
-  mutable fd : Unix.file_descr option;
-  mutable reader : Proto.reader;
-  mutable last_seen : float;
-  mutable hello : bool;
-  mutable crc : bool;  (* CRC trailers negotiated for this connection *)
+(* One connection from a worker.  [tcp] marks a link accepted on the
+   TCP listener, the only place the campaign token is checked; the
+   reader carries the CRC mode negotiated at admission.  [grants]
+   counts grants sent on the link and [short] the idle reports in a
+   row that were short of them (see [Proto.Idle]). *)
+type link = {
+  fd : Unix.file_descr;
+  reader : Proto.reader;
+  tcp : bool;
+  mutable grants : int;
+  mutable short : int;
 }
 
+type incarnation = {
+  pid : int option;
+      (* the process forked for a local slot; None for a TCP joiner *)
+  mutable link : link option;
+      (* None: not admitted yet, or disconnected and awaiting resume *)
+  mutable admitted : bool;  (* welcomed once: a later welcome is a resume *)
+  mutable last_seen : float;
+}
+
+(* A local slot differs from a remote one only in its incarnation
+   owning a pid. *)
 type wslot = {
   slot : int;
-  remote : bool;  (* joined over TCP; no process to kill or respawn *)
   mutable inc : incarnation option;  (* current incarnation, if any *)
   mutable lease : int option;
   mutable restarts : int;
@@ -219,19 +241,41 @@ type wslot = {
   mutable chaos_pending : bool;  (* next death is ours, not the slot's *)
 }
 
-(* A connection no longer owned by a slot: a declared-dead worker we
-   keep draining so its late (fenced) writes are observed, or a fresh
-   accept that has not said hello yet. *)
+let new_slot slot =
+  {
+    slot;
+    inc = None;
+    lease = None;
+    restarts = 0;
+    chaos_kills = 0;
+    tasks_done = 0;
+    fenced = 0;
+    demoted = false;
+    chaos_pending = false;
+  }
+
+(* A link no slot owns: a fresh accept whose first frame must be a
+   hello, or a declared-dead worker's link kept draining so that its
+   late (fenced) writes are observed. *)
 type stray = {
-  s_fd : Unix.file_descr;
-  s_reader : Proto.reader;
-  s_pid : int option;  (* known for zombies; None for fresh accepts *)
+  s_link : link;
+  zombie : bool;
+  s_pid : int option;  (* a zombie's process, reaped once its link ends *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let kill_quiet signal pid =
   if pid > 0 then try Unix.kill pid signal with Unix.Unix_error _ -> ()
+
+let send_link l msg =
+  Proto.send ~crc:(Proto.crc_enabled l.reader) l.fd (Proto.to_json msg)
+
+let rec wait_child pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_child pid
+  | exception Unix.Unix_error _ -> ()
 
 let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
   if config.workers < 0 then
@@ -253,7 +297,9 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
   let resumed = config.resume && Sys.file_exists wal_file in
   let wal = Wal.open_ ~fsync:config.fsync wal_file in
   let recovery = Wal.recovery wal in
-  let finished, replay_fenced = replay_done config recovery.Wal.records in
+  let finished, replay_fenced, high_water =
+    replay_done config recovery.Wal.records
+  in
   let n_tasks = List.length task_ids in
   (* Final per-task outcomes; a task is open until its slot is filled. *)
   let outcomes : (string, Campaign.task_outcome) Hashtbl.t =
@@ -275,14 +321,14 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
      kills — otherwise a task longer than the kill interval livelocks
      (holder killed, reassigned, killed again, forever). *)
   let chaos_task_cap = 5 in
-  (* Uncharged reassignments (chaos kills, remote disconnects) do not
+  (* Uncharged reassignments (chaos kills, TCP peers timing out) do not
      burn the task's retry budget, so a task bouncing off a flapping
      network link needs its own bound or the campaign livelocks. *)
   let uncharged_cap = 25 in
   let chaos_reassigns : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let attempts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let attempt_of id = 1 + Option.value ~default:0 (Hashtbl.find_opt attempts id) in
-  let leases = Lease.create () in
+  let leases = Lease.create ~after:high_water () in
   let retries = ref 0 in
   let quarantined = ref 0 in
   let reassignments = ref 0 in
@@ -324,32 +370,20 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
   (* A worker dying mid-send must surface as EPIPE, not SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let slots =
-    Array.init config.workers (fun slot ->
-        {
-          slot;
-          remote = false;
-          inc = None;
-          lease = None;
-          restarts = 0;
-          chaos_kills = 0;
-          tasks_done = 0;
-          fenced = 0;
-          demoted = false;
-          chaos_pending = false;
-        })
-  in
+  let slots = Array.init config.workers new_slot in
   (* TCP workers: slots created at admission, ids from [next_remote]
      (above the local range so the two can never collide). *)
   let remotes : (int, wslot) Hashtbl.t = Hashtbl.create 8 in
   let next_remote = ref config.workers in
-  let remote_slots () =
-    Hashtbl.fold (fun _ w acc -> w :: acc) remotes []
-    |> List.sort (fun a b -> compare a.slot b.slot)
+  let all_slots () =
+    Array.to_list slots
+    @ (Hashtbl.fold (fun _ w acc -> w :: acc) remotes []
+      |> List.sort (fun a b -> compare a.slot b.slot))
   in
-  let all_slots () = Array.to_list slots @ remote_slots () in
   let strays : stray list ref = ref [] in
-  let drop_stray fd = strays := List.filter (fun x -> x.s_fd <> fd) !strays in
+  let drop_stray fd =
+    strays := List.filter (fun x -> x.s_link.fd <> fd) !strays
+  in
   (* Dead children of ours whose WNOHANG reap raced the exit: swept
      every loop iteration until collected.  Only pids this coordinator
      spawned or killed go here — a waitpid(-1) sweep would steal exit
@@ -378,12 +412,10 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
     w.inc <-
       Some
         {
-          pid;
-          fd = None;
-          reader = Proto.reader ();
+          pid = Some pid;
+          link = None;
+          admitted = false;
           last_seen = Clock.now_s ();
-          hello = false;
-          crc = false;
         }
   in
   Array.iter spawn_slot slots;
@@ -412,8 +444,8 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
     then aborted := true
   in
   (* Return a task to the queue after a failure or a reclaimed lease.
-     [charge] is false for chaos-inflicted deaths and remote
-     disconnects: exogenous faults prove the machinery and must not
+     [charge] is false for chaos-inflicted deaths and TCP peers that
+     fell silent: exogenous faults prove the machinery and must not
      burn the task's budget. *)
   let requeue ~charge ~why id =
     if charge then begin
@@ -452,53 +484,43 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
            ~worker:w.slot ());
       List.iter (fun id -> requeue ~charge ~why id) pending
   in
-  (* Uncommanded death or heartbeat timeout: reclaim, journal, respawn
-     within budget.  [zombie] keeps the old connection draining (the
-     process may still be alive and about to write something stale).
-     A remote slot has no process behind it: nothing to kill, reap or
-     respawn, and its drop is presumed a network fault (uncharged);
-     the peer is expected to reconnect and resume its id. *)
-  let declare_dead ~ev ~zombie w =
-    if w.remote then begin
-      (match w.inc with
-      | None -> ()
-      | Some inc ->
-        (if zombie then
-           match inc.fd with
-           | Some fd ->
-             strays :=
-               { s_fd = fd; s_reader = inc.reader; s_pid = None } :: !strays
-           | None -> ()
-         else match inc.fd with Some fd -> close_quiet fd | None -> ());
-        w.inc <- None);
+  (* EOF, a broken stream or a failed send: the link is gone, but the
+     worker may be alive and about to resume, so its lease stays held.
+     Whether it died is for its pid (local) or the heartbeat timeout
+     (both) to say. *)
+  let disconnect inc =
+    match inc.link with
+    | Some l ->
+      close_quiet l.fd;
+      inc.link <- None
+    | None -> ()
+  in
+  (* Death: the slot's process exited ([exited]: already reaped) or
+     the heartbeat timeout fired.  Reclaim, journal, and respawn
+     within budget.  A still-open link keeps draining as a zombie
+     stray (the process may be alive and about to write something
+     stale, which must fence).  A TCP slot has no process to kill or
+     respawn, and its silence is presumed a network fault: uncharged,
+     like a chaos kill; the peer may still come back and resume its
+     id. *)
+  let declare_dead ?(exited = false) ~ev w =
+    match w.inc with
+    | None -> ()
+    | Some inc ->
+      w.inc <- None;
+      (match inc.link with
+      | Some l ->
+        strays := { s_link = l; zombie = true; s_pid = inc.pid } :: !strays
+      | None ->
+        if not exited then
+          Option.iter
+            (fun pid ->
+              kill_quiet Sys.sigkill pid;
+              reap_later pid)
+            inc.pid);
       journal (incident_record ev ~worker:w.slot ());
-      incr worker_deaths;
-      w.restarts <- w.restarts + 1;
-      Obs.incr m_deaths;
-      reclaim_lease ~charge:false w ev
-    end
-    else begin
       let chaos = w.chaos_pending in
       w.chaos_pending <- false;
-      (match w.inc with
-      | None -> ()
-      | Some inc ->
-        (if zombie then
-           match inc.fd with
-           | Some fd ->
-             strays :=
-               { s_fd = fd; s_reader = inc.reader; s_pid = Some inc.pid }
-               :: !strays
-           | None ->
-             kill_quiet Sys.sigkill inc.pid;
-             reap_later inc.pid
-         else begin
-           (match inc.fd with Some fd -> close_quiet fd | None -> ());
-           kill_quiet Sys.sigkill inc.pid;
-           reap_later inc.pid
-         end);
-        w.inc <- None);
-      journal (incident_record ev ~worker:w.slot ());
       if chaos then begin
         incr chaos_kills;
         w.chaos_kills <- w.chaos_kills + 1;
@@ -509,375 +531,372 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
         w.restarts <- w.restarts + 1;
         Obs.incr m_deaths
       end;
-      reclaim_lease ~charge:(not chaos) w ev;
-      if (not chaos) && w.restarts > config.max_restarts then begin
-        w.demoted <- true;
-        journal (incident_record "demoted" ~worker:w.slot ())
-      end
-      else if !remaining > 0 && not (Pool.is_cancelled cancel) then begin
-        spawn_slot w;
-        incr worker_restarts;
-        Obs.incr m_restarts;
-        journal (incident_record "restart" ~worker:w.slot ())
-      end;
-      if List.length (live_slots ()) < config.min_workers then begin
-        aborted := true;
-        journal (incident_record "min_workers_abort" ~worker:w.slot ())
-      end
-    end
-  in
-  let accept_result w_opt
-      (lease_id, epoch, task, ok, wall_s, file, err, transient, data) =
-    let file = Filename.basename file in
-    let partial = Filename.concat (tasks_dir config) file in
-    match Lease.complete leases ~lease_id ~epoch ~task with
-    | `Fenced ->
-      incr fences;
-      Obs.incr m_fences;
-      (match w_opt with Some w -> w.fenced <- w.fenced + 1 | None -> ());
-      journal
-        (incident_record "fence"
-           ~worker:(match w_opt with Some w -> w.slot | None -> -1)
-           ~detail:(Printf.sprintf "task %s lease %d ep %d" task lease_id epoch)
-           ());
-      if Sys.file_exists partial then Sys.remove partial
-    | `Unknown_task ->
-      journal
-        (incident_record "unknown_task"
-           ~worker:(match w_opt with Some w -> w.slot | None -> -1)
-           ~detail:task ());
-      if Sys.file_exists partial then Sys.remove partial
-    | `Ok ->
-      (match w_opt with
-      | Some w ->
-        if Lease.active leases ~lease_id = None then w.lease <- None
-      | None -> ());
-      (* A remote result carries its bytes inline (the coordinator
-         cannot read the worker's filesystem): materialize them where
-         a local worker would have written the stamped partial.  Only
-         on the trusted path — a fenced frame's bytes are never
-         written anywhere. *)
-      (match data with
-      | Some d when ok -> Wal.write_atomic partial d
-      | _ -> ());
-      if ok && Sys.file_exists partial then begin
-        (* Rename before journaling: a trusted done record always has
-           its canonical bytes on disk. *)
-        Sys.rename partial (output_path config task);
-        Rumor_util.Fsutil.fsync_parent_dir (output_path config task);
-        Hashtbl.replace outcomes task (Campaign.Done wall_s);
-        decr remaining;
-        (match w_opt with Some w -> w.tasks_done <- w.tasks_done + 1 | None -> ());
-        journal
-          (task_record task "done" ~att:(attempt_of task) ~wall:wall_s
-             ~lease:lease_id ~epoch
-             ?worker:(Option.map (fun w -> w.slot) w_opt)
-             ())
-      end
-      else begin
-        if Sys.file_exists partial then Sys.remove partial;
-        let err =
-          Option.value err
-            ~default:(if ok then "output file missing" else "failed")
-        in
-        let transient = transient || ok (* lost output: environmental *) in
-        if transient && attempt_of task <= config.retries then begin
-          incr retries;
-          journal (task_record task "retry" ~att:(attempt_of task) ~err ());
-          requeue ~charge:true ~why:"transient failure" task
+      reclaim_lease ~charge:((not chaos) && inc.pid <> None) w ev;
+      if inc.pid <> None then begin
+        if (not chaos) && w.restarts > config.max_restarts then begin
+          w.demoted <- true;
+          journal (incident_record "demoted" ~worker:w.slot ())
         end
-        else quarantine task err
+        else if !remaining > 0 && not (Pool.is_cancelled cancel) then begin
+          spawn_slot w;
+          incr worker_restarts;
+          Obs.incr m_restarts;
+          journal (incident_record "restart" ~worker:w.slot ())
+        end;
+        if List.length (live_slots ()) < config.min_workers then begin
+          aborted := true;
+          journal (incident_record "min_workers_abort" ~worker:w.slot ())
+        end
       end
   in
-  let handle_msg w_opt msg =
-    (match w_opt with
-    | Some w -> (
-      match w.inc with
-      | Some inc ->
-        let now = Clock.now_s () in
-        (match msg with
-        | Proto.Beat _ -> Obs.observe h_beat_latency (now -. inc.last_seen)
-        | _ -> ());
-        inc.last_seen <- now
-      | None -> ())
-    | None -> ());
-    match msg with
-    | Proto.Hello _ -> (
-      match w_opt with
-      | Some w -> (
-        match w.inc with Some inc -> inc.hello <- true | None -> ())
-      | None -> ())
-    | Proto.Beat _ -> ()
+  let accept_result w_opt = function
     | Proto.Result
-        { lease; epoch; task; ok; wall_s; file; err; transient; data; _ } ->
-      accept_result w_opt
-        (lease, epoch, task, ok, wall_s, file, err, transient, data)
-    | Proto.Grant _ | Proto.Stop | Proto.Welcome _ | Proto.Reject _ ->
-      ()  (* not ours to receive *)
+        {
+          lease = lease_id; epoch; task; ok; wall_s; file; err; transient;
+          data; _;
+        } -> (
+        let file = Filename.basename file in
+        let partial = Filename.concat (tasks_dir config) file in
+        match Lease.complete leases ~lease_id ~epoch ~task with
+        | `Fenced ->
+          incr fences;
+          Obs.incr m_fences;
+          (match w_opt with Some w -> w.fenced <- w.fenced + 1 | None -> ());
+          journal
+            (incident_record "fence"
+               ~worker:(match w_opt with Some w -> w.slot | None -> -1)
+               ~detail:
+                 (Printf.sprintf "task %s lease %d ep %d" task lease_id
+                    epoch)
+               ());
+          if Sys.file_exists partial then Sys.remove partial
+        | `Unknown_task ->
+          journal
+            (incident_record "unknown_task"
+               ~worker:(match w_opt with Some w -> w.slot | None -> -1)
+               ~detail:task ());
+          if Sys.file_exists partial then Sys.remove partial
+        | `Ok ->
+          (match w_opt with
+          | Some w ->
+            if Lease.active leases ~lease_id = None then w.lease <- None
+          | None -> ());
+          (* A TCP result carries its bytes inline (the coordinator
+             cannot read the worker's filesystem): materialize them where
+             a Unix-socket worker would have written the stamped partial.  Only
+             on the trusted path — a fenced frame's bytes are never
+             written anywhere. *)
+          (match data with
+          | Some d when ok -> Wal.write_atomic partial d
+          | _ -> ());
+          if ok && Sys.file_exists partial then begin
+            (* Rename before journaling: a trusted done record always has
+               its canonical bytes on disk. *)
+            Sys.rename partial (output_path config task);
+            Rumor_util.Fsutil.fsync_parent_dir (output_path config task);
+            Hashtbl.replace outcomes task (Campaign.Done wall_s);
+            decr remaining;
+            (match w_opt with
+            | Some w -> w.tasks_done <- w.tasks_done + 1
+            | None -> ());
+            journal
+              (task_record task "done" ~att:(attempt_of task) ~wall:wall_s
+                 ~lease:lease_id ~epoch
+                 ?worker:(Option.map (fun w -> w.slot) w_opt)
+                 ())
+          end
+          else begin
+            if Sys.file_exists partial then Sys.remove partial;
+            let err =
+              Option.value err
+                ~default:(if ok then "output file missing" else "failed")
+            in
+            let transient = transient || ok (* lost output: environmental *) in
+            if transient && attempt_of task <= config.retries then begin
+              incr retries;
+              journal (task_record task "retry" ~att:(attempt_of task) ~err ());
+              requeue ~charge:true ~why:"transient failure" task
+            end
+            else quarantine task err
+          end)
+    | _ -> () (* beats and the like carry no result *)
   in
-  (* Route a raw frame: a hello from a fresh accept binds the stray
-     connection to its slot's current incarnation; everything else is
-     dispatched with whatever slot attribution the worker id gives. *)
   let slot_of_worker_id w =
     if w >= 0 && w < Array.length slots then Some slots.(w)
     else Hashtbl.find_opt remotes w
   in
-  let send_to inc json =
-    Proto.send ~crc:inc.crc (Option.get inc.fd) json
+  let send_grant w l { Lease.id; epoch; tasks; _ } =
+    l.grants <- l.grants + 1;
+    l.short <- 0;
+    try send_link l (Proto.Grant { lease = id; epoch; tasks })
+    with Unix.Unix_error _ | Sys_error _ -> Option.iter disconnect w.inc
+  in
+  let regrant w l (lease : Lease.lease) why =
+    journal
+      (incident_record "regrant" ~worker:w.slot
+         ~detail:
+           (Printf.sprintf "lease %d ep %d (%s)" lease.Lease.id
+              lease.Lease.epoch why)
+         ());
+    send_grant w l lease
+  in
+  let active_lease w =
+    Option.bind w.lease (fun lease_id -> Lease.active leases ~lease_id)
   in
   let grant_work () =
     if not (Pool.is_cancelled cancel || !aborted) then
       List.iter
         (fun w ->
-          if
-            (not w.demoted) && w.lease = None
-            && not (Queue.is_empty queue)
-          then
-            match w.inc with
-            | Some inc when inc.hello && inc.fd <> None -> (
-              let batch = ref [] in
-              let n = min config.batch (Queue.length queue) in
-              for _ = 1 to n do
-                batch := Queue.pop queue :: !batch
-              done;
-              let batch = List.rev !batch in
-              let lease = Lease.grant leases ~worker:w.slot batch in
-              (* Journal the grant before sending it: replay must know
-                 every lease the worker could possibly stamp. *)
-              journal
-                (lease_record "grant" ~lease:lease.Lease.id
-                   ~epoch:lease.Lease.epoch ~worker:w.slot ~tasks:batch ());
-              w.lease <- Some lease.Lease.id;
-              match
-                send_to inc
-                  (Proto.to_json
-                     (Proto.Grant
-                        {
-                          lease = lease.Lease.id;
-                          epoch = lease.Lease.epoch;
-                          tasks = batch;
-                        }))
-              with
-              | () -> ()
-              | exception (Unix.Unix_error (_, _, _) | Sys_error _) ->
-                declare_dead ~ev:"worker_death" ~zombie:false w)
-            | _ -> ())
+          match w.inc with
+          | Some { link = Some l; _ }
+            when (not w.demoted) && w.lease = None
+                 && not (Queue.is_empty queue) ->
+            let batch = ref [] in
+            let n = min config.batch (Queue.length queue) in
+            for _ = 1 to n do
+              batch := Queue.pop queue :: !batch
+            done;
+            let lease = Lease.grant leases ~worker:w.slot (List.rev !batch) in
+            (* Journal the grant before sending it: replay must know
+               every lease the worker could possibly stamp. *)
+            journal
+              (lease_record "grant" ~lease:lease.Lease.id
+                 ~epoch:lease.Lease.epoch ~worker:w.slot
+                 ~tasks:lease.Lease.tasks ());
+            w.lease <- Some lease.Lease.id;
+            send_grant w l lease
+          | _ -> ())
         (all_slots ())
   in
-  (* Admission of a protocol-2 (TCP) hello: version and token are
-     checked here, at the door, so a stray worker from another
-     campaign is turned away before it can touch a lease.  A known
-     worker id resumes its slot (superseding any half-open previous
-     connection); -1 gets a fresh id.  The welcome — like the hello —
-     is always sent without a CRC trailer; the negotiated mode starts
-     with the first frame after it, in both directions. *)
-  let admit_remote (s : stray) ~worker ~pid ~proto ~tok ~crc =
-    let fd = s.s_fd in
-    let reject reason =
-      incr rejected;
-      Obs.incr m_rejected;
-      journal (incident_record "hello_rejected" ~worker ~detail:reason ());
-      (try Proto.send fd (Proto.to_json (Proto.Reject { reason }))
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      close_quiet fd;
-      drop_stray fd
-    in
-    if proto > Proto.version then
-      reject
-        (Printf.sprintf "unsupported protocol version %d (coordinator max %d)"
-           proto Proto.version)
-    else if not (config.token = None || config.token = tok) then
-      reject "bad campaign token"
-    else if worker >= 0 && worker < Array.length slots then
-      reject (Printf.sprintf "worker id %d names a local slot" worker)
-    else begin
-      let resume = worker >= 0 && Hashtbl.mem remotes worker in
-      let w =
-        if resume then Hashtbl.find remotes worker
-        else begin
-          (* An explicit id above the local range is honoured (a
-             worker resuming across a coordinator restart); otherwise
-             allocate the next one. *)
-          let id = if worker >= 0 then worker else !next_remote in
-          next_remote := Int.max !next_remote (id + 1);
-          let w =
+  let reject l ~worker reason =
+    incr rejected;
+    Obs.incr m_rejected;
+    journal (incident_record "hello_rejected" ~worker ~detail:reason ());
+    (try send_link l (Proto.Reject { reason })
+     with Unix.Unix_error _ | Sys_error _ -> ());
+    close_quiet l.fd
+  in
+  (* The one admission path, for both listeners.  The version is
+     checked at the door, and the token on TCP links, so a stray
+     worker from another campaign never touches a lease.  A hello
+     naming a local slot must carry the pid of that slot's current
+     process: an orphan of an earlier coordinator cannot take a slot
+     after --resume.  Any other id names a TCP slot — a known one
+     resumes, an unknown explicit one is honoured (a worker resuming
+     across a coordinator restart), -1 gets the next free id.  The
+     welcome, like the hello, is sent without a CRC trailer; the
+     negotiated mode starts with the next frame in both directions. *)
+  let admit l ~worker ~pid ~proto ~token ~crc =
+    let target =
+      if proto <> Proto.version then
+        Error
+          (Printf.sprintf
+             "unsupported protocol version %d (coordinator speaks %d)" proto
+             Proto.version)
+      else if l.tcp && not (config.token = None || config.token = token) then
+        Error "bad campaign token"
+      else if worker >= 0 && worker < config.workers then
+        match slots.(worker).inc with
+        | Some inc when inc.pid = Some pid -> Ok (slots.(worker), inc)
+        | _ ->
+          Error
+            (Printf.sprintf "pid %d is not the current process of local slot %d"
+               pid worker)
+      else begin
+        let w =
+          match Hashtbl.find_opt remotes worker with
+          | Some w -> w
+          | None ->
+            let id = if worker >= 0 then worker else !next_remote in
+            next_remote := Int.max !next_remote (id + 1);
+            let w = new_slot id in
+            Hashtbl.replace remotes id w;
+            w
+        in
+        match w.inc with
+        | Some inc -> Ok (w, inc)
+        | None ->
+          let inc =
             {
-              slot = id;
-              remote = true;
-              inc = None;
-              lease = None;
-              restarts = 0;
-              chaos_kills = 0;
-              tasks_done = 0;
-              fenced = 0;
-              demoted = false;
-              chaos_pending = false;
+              pid = None;
+              link = None;
+              admitted = false;
+              last_seen = Clock.now_s ();
             }
           in
-          Hashtbl.replace remotes id w;
-          w
-        end
-      in
-      (match w.inc with
-      | Some old ->
-        (match old.fd with Some ofd -> close_quiet ofd | None -> ());
-        w.inc <- None
-      | None -> ());
+          w.inc <- Some inc;
+          Ok (w, inc)
+      end
+    in
+    match target with
+    | Error reason -> reject l ~worker reason
+    | Ok (w, inc) -> (
       match
-        Proto.send fd
-          (Proto.to_json
-             (Proto.Welcome { worker = w.slot; proto = Proto.version; crc }))
+        send_link l
+          (Proto.Welcome { worker = w.slot; proto = Proto.version; crc })
       with
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-        close_quiet fd;
-        drop_stray fd
-      | () ->
-        Proto.set_crc s.s_reader crc;
-        w.inc <-
-          Some
-            {
-              pid;
-              fd = Some fd;
-              reader = s.s_reader;
-              last_seen = Clock.now_s ();
-              hello = true;
-              crc;
-            };
-        drop_stray fd;
-        if resume then begin
+      | exception (Unix.Unix_error _ | Sys_error _) -> close_quiet l.fd
+      | () -> (
+        disconnect inc (* a half-open previous link is superseded *);
+        Proto.set_crc l.reader crc;
+        inc.link <- Some l;
+        inc.last_seen <- Clock.now_s ();
+        if inc.admitted then begin
           incr remote_reconnects;
           Obs.incr m_remote_reconnects;
-          journal (incident_record "remote_reconnect" ~worker:w.slot ())
+          journal (incident_record "reconnect" ~worker:w.slot ())
         end
-        else journal (incident_record "remote_join" ~worker:w.slot ());
-        (* A grant may have died with the old connection, which would
+        else if inc.pid = None then
+          journal (incident_record "remote_join" ~worker:w.slot ());
+        inc.admitted <- true;
+        (* A grant may have died with the old link, which would
            deadlock the pair (coordinator waiting for results, worker
-           for work).  Re-send the active batch: already-finished
-           tasks in it come back as fenced/unknown duplicates and are
-           discarded. *)
-        (match w.lease with
-        | None -> ()
-        | Some lease_id -> (
-          match Lease.active leases ~lease_id with
-          | None -> w.lease <- None
-          | Some l -> (
-            journal
-              (incident_record "regrant" ~worker:w.slot
-                 ~detail:
-                   (Printf.sprintf "lease %d ep %d" l.Lease.id l.Lease.epoch)
-                 ());
-            match
-              Proto.send ~crc fd
-                (Proto.to_json
-                   (Proto.Grant
-                      {
-                        lease = l.Lease.id;
-                        epoch = l.Lease.epoch;
-                        tasks = l.Lease.tasks;
-                      }))
-            with
-            | () -> ()
-            | exception (Unix.Unix_error _ | Sys_error _) ->
-              declare_dead ~ev:"worker_death" ~zombie:false w)))
-    end
+           for work).  Re-send the active batch: the worker re-sends
+           the results it still holds and runs the rest. *)
+        match active_lease w with
+        | None -> w.lease <- None
+        | Some lease -> regrant w l lease "resume"))
   in
-  let read_fd fd =
-    let chunk = Bytes.create 65536 in
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> `Eof
-    | n -> `Data (chunk, n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Data (chunk, 0)
-    | exception Unix.Unix_error (_, _, _) -> `Eof
+  let chunk = Bytes.create 65536 in
+  (* Read what is there into the link's reader; [false] on EOF or a
+     dead socket. *)
+  let read_link l =
+    match Unix.read l.fd chunk 0 (Bytes.length chunk) with
+    | 0 -> false
+    | n ->
+      Proto.feed l.reader chunk n;
+      true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+    | exception Unix.Unix_error _ -> false
   in
-  let drain_reader w_opt reader =
-    let rec go () =
-      match Proto.next reader with
-      | Some j ->
-        (match Proto.of_json j with
-        | Some msg ->
-          let w_opt =
-            match msg with
-            | Proto.Hello { worker; _ }
-            | Proto.Beat { worker }
-            | Proto.Result { worker; _ } -> (
-              match w_opt with Some _ -> w_opt | None -> slot_of_worker_id worker)
-            | _ -> w_opt
-          in
-          handle_msg w_opt msg
-        | None -> ());
-        go ()
-      | None -> ()
+  let rec frames l f =
+    match Proto.next l.reader with
+    | Some j ->
+      if f (Proto.of_json j) then frames l f
+    | None -> ()
+  in
+  let pump_slot w inc l =
+    match
+      if read_link l then
+        frames l (fun msg ->
+            let now = Clock.now_s () in
+            (match msg with
+            | Some (Proto.Beat _) ->
+              Obs.observe h_beat_latency (now -. inc.last_seen);
+              l.short <- 0
+            | Some (Proto.Idle { grants; _ }) -> (
+              Obs.observe h_beat_latency (now -. inc.last_seen);
+              (* Idle with work outstanding: every result sent before
+                 this frame has been read, so if the worker processed
+                 every grant, one of its results vanished; if it is
+                 short of them twice in a row, a grant did. *)
+              match active_lease w with
+              | None -> l.short <- 0
+              | Some lease ->
+                if grants >= l.grants then regrant w l lease "result lost"
+                else begin
+                  l.short <- l.short + 1;
+                  if l.short >= 2 then begin
+                    (* The regrant replaces the lost grant in the count. *)
+                    l.grants <- l.grants - 1;
+                    regrant w l lease "grant lost"
+                  end
+                end)
+            | Some m -> accept_result (Some w) m
+            | None -> ());
+            inc.last_seen <- now;
+            true)
+      else disconnect inc
+    with
+    | () -> ()
+    | exception Proto.Protocol_error _ ->
+      (* Corrupted or desynchronized stream (a CRC mismatch lands
+         here): cut the link; the worker reconnects and resumes. *)
+      disconnect inc
+  in
+  let pump_stray s =
+    let l = s.s_link in
+    let gone () =
+      close_quiet l.fd;
+      Option.iter reap_later s.s_pid;
+      drop_stray l.fd
     in
-    go ()
+    match
+      if read_link l then
+        frames l (fun msg ->
+            match (s.zombie, msg) with
+            | false, Some (Proto.Hello { worker; pid; proto; token; crc }) ->
+              drop_stray l.fd;
+              admit l ~worker ~pid ~proto ~token ~crc;
+              false
+            | false, _ ->
+              drop_stray l.fd;
+              reject l ~worker:(-1) "first frame is not a protocol hello";
+              false
+            | true, Some (Proto.Result { worker; _ } as m) ->
+              (* A zombie's late result: its lease was reclaimed when it
+                 was declared dead, so this fences — attributed to the
+                 slot. *)
+              accept_result (slot_of_worker_id worker) m;
+              true
+            | true, _ -> true (* zombie beats: ignore *))
+      else gone ()
+    with
+    | () -> ()
+    | exception Proto.Protocol_error _ -> gone ()
   in
   let finished_campaign () =
     !remaining = 0 && Lease.outstanding leases = 0
   in
   let cleanup () =
-    (* Orderly stop for live workers, hard stop for everything else. *)
-    Array.iter
-      (fun w ->
-        match w.inc with
-        | Some inc ->
-          (match inc.fd with
-          | Some fd ->
-            (try Proto.send ~crc:inc.crc fd (Proto.to_json Proto.Stop)
-             with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            close_quiet fd
-          | None -> ());
-          let deadline = Clock.now_s () +. 2.0 in
-          let rec wait () =
-            match Unix.waitpid [ Unix.WNOHANG ] inc.pid with
-            | 0, _ ->
-              if Clock.now_s () > deadline then begin
-                kill_quiet Sys.sigkill inc.pid;
-                reap_later inc.pid
-              end
-              else begin
-                Unix.sleepf 0.02;
-                wait ()
-              end
-            | _ -> ()
-            | exception Unix.Unix_error (_, _, _) -> ()
-          in
-          wait ()
-        | None -> ())
-      slots;
-    (* Remote peers: an orderly stop frame, then hang up — their
-       processes belong to another machine. *)
-    List.iter
-      (fun w ->
-        match w.inc with
-        | Some inc -> (
-          match inc.fd with
-          | Some fd ->
-            (try Proto.send ~crc:inc.crc fd (Proto.to_json Proto.Stop)
-             with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            close_quiet fd
-          | None -> ())
-        | None -> ())
-      (remote_slots ());
-    List.iter
-      (fun s ->
-        close_quiet s.s_fd;
-        (match s.s_pid with
-        | Some pid ->
-          kill_quiet Sys.sigkill pid;
-          reap_later pid
-        | None -> ()))
-      !strays;
-    (* Collect the stragglers whose reap raced their kill. *)
-    let deadline = Clock.now_s () +. 2.0 in
-    let rec drain () =
-      sweep_reapable ();
-      if !reapable <> [] && Clock.now_s () < deadline then begin
-        Unix.sleepf 0.02;
-        drain ()
-      end
-    in
-    drain ();
     close_quiet listen_fd;
-    (match tcp_listen with Some fd -> close_quiet fd | None -> ());
+    Option.iter close_quiet tcp_listen;
+    (* Stop every slot at once, then wait for all their hang-ups
+       against one deadline: teardown costs one round trip, not one
+       per worker. *)
+    let links =
+      List.filter_map
+        (fun w -> Option.bind w.inc (fun inc -> inc.link))
+        (all_slots ())
+    in
+    List.iter
+      (fun l ->
+        try send_link l Proto.Stop with Unix.Unix_error _ | Sys_error _ -> ())
+      links;
+    let deadline = Clock.now_s () +. 2.0 in
+    let rec await = function
+      | [] -> ()
+      | pending ->
+        let wait = deadline -. Clock.now_s () in
+        if wait > 0. then begin
+          let ready =
+            match Unix.select (List.map (fun l -> l.fd) pending) [] [] wait with
+            | r, _, _ -> r
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          in
+          await
+            (List.filter
+               (fun l -> (not (List.mem l.fd ready)) || read_link l)
+               pending)
+        end
+    in
+    await links;
+    List.iter (fun l -> close_quiet l.fd) links;
+    List.iter (fun s -> close_quiet s.s_link.fd) !strays;
+    (* Reap every process this coordinator forked, SIGKILLing the ones
+       still running. *)
+    List.filter_map (fun w -> Option.bind w.inc (fun inc -> inc.pid))
+      (Array.to_list slots)
+    @ List.filter_map (fun s -> s.s_pid) !strays
+    @ !reapable
+    |> List.sort_uniq compare
+    |> List.iter (fun pid ->
+           match Unix.waitpid [ Unix.WNOHANG ] pid with
+           | 0, _ ->
+             kill_quiet Sys.sigkill pid;
+             wait_child pid
+           | _ -> ()
+           | exception Unix.Unix_error _ -> ());
     if Sys.file_exists sock_path then Sys.remove sock_path;
     if Sys.file_exists (port_path config) then Sys.remove (port_path config);
     (* Stale stamped partials (fenced or never-accepted writes) must
@@ -911,135 +930,104 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
       do
         grant_work ();
         let now = Clock.now_s () in
-        let timeout =
-          let next = min (!next_chaos -. now) 0.2 in
-          Float.max 0.01 next
+        (* A local worker that lost its link is either dying (its pid
+           is about to exit) or reconnecting: look again soon. *)
+        let poll =
+          if
+            Array.exists
+              (fun w ->
+                match w.inc with
+                | Some { link = None; admitted = true; _ } -> true
+                | _ -> false)
+              slots
+          then 0.005
+          else 0.2
         in
-        let conn_slots =
-          List.filter_map
-            (fun w ->
-              match w.inc with
-              | Some { fd = Some fd; _ } -> Some (fd, w)
-              | _ -> None)
-            (all_slots ())
-        in
+        let timeout = Float.max 0.001 (Float.min (!next_chaos -. now) poll) in
+        let listeners = listen_fd :: Option.to_list tcp_listen in
         let watched =
-          (listen_fd :: Option.to_list tcp_listen)
-          @ List.map fst conn_slots
-          @ List.map (fun s -> s.s_fd) !strays
+          listeners
+          @ List.filter_map
+              (fun w ->
+                Option.bind w.inc (fun inc ->
+                    Option.map (fun l -> l.fd) inc.link))
+              (all_slots ())
+          @ List.map (fun s -> s.s_link.fd) !strays
         in
         let readable, _, _ =
           match Unix.select watched [] [] timeout with
           | r -> r
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
+        (* Links first, accepts last: a descriptor closed while
+           handling one link can then never be reused, within this
+           pass, by an accept. *)
         List.iter
           (fun fd ->
-            if fd = listen_fd || Some fd = tcp_listen then begin
+            if not (List.mem fd listeners) then
+              match
+                List.find_map
+                  (fun w ->
+                    match w.inc with
+                    | Some ({ link = Some l; _ } as inc) when l.fd = fd ->
+                      Some (w, inc, l)
+                    | _ -> None)
+                  (all_slots ())
+              with
+              | Some (w, inc, l) -> pump_slot w inc l
+              | None ->
+                Option.iter pump_stray
+                  (List.find_opt (fun s -> s.s_link.fd = fd) !strays))
+          readable;
+        List.iter
+          (fun fd ->
+            if List.mem fd readable then
               match Unix.accept ~cloexec:true fd with
               | conn_fd, _ ->
-                if Some fd = tcp_listen then Net.tune_stream_socket conn_fd;
+                let tcp = Some fd = tcp_listen in
+                if tcp then Net.tune_stream_socket conn_fd;
                 strays :=
-                  { s_fd = conn_fd; s_reader = Proto.reader (); s_pid = None }
+                  {
+                    s_link =
+                      {
+                        fd = conn_fd;
+                        reader = Proto.reader ();
+                        tcp;
+                        grants = 0;
+                        short = 0;
+                      };
+                    zombie = false;
+                    s_pid = None;
+                  }
                   :: !strays
-              | exception Unix.Unix_error (_, _, _) -> ()
-            end
-            else begin
-              (* Slot connection? *)
-              let slot =
-                List.find_opt (fun (f, _) -> f = fd) conn_slots
-                |> Option.map snd
-              in
-              match slot with
-              | Some w -> (
-                match w.inc with
-                | None -> ()
-                | Some inc -> (
-                  match read_fd fd with
-                  | `Eof -> declare_dead ~ev:"worker_death" ~zombie:false w
-                  | `Data (chunk, n) ->
-                    Proto.feed inc.reader chunk n;
-                    (match drain_reader (Some w) inc.reader with
-                    | () -> ()
-                    | exception Proto.Protocol_error _ ->
-                      (* Corrupted or desynchronized stream (a CRC
-                         mismatch lands here): cut the connection; a
-                         remote peer reconnects and resumes. *)
-                      declare_dead ~ev:"protocol_error" ~zombie:false w)))
-              | None -> (
-                match List.find_opt (fun s -> s.s_fd = fd) !strays with
-                | None -> ()
-                | Some s -> (
-                  match read_fd fd with
-                  | `Eof ->
-                    close_quiet fd;
-                    (match s.s_pid with Some pid -> reap_later pid | None -> ());
-                    drop_stray fd
-                  | `Data (chunk, n) -> (
-                    Proto.feed s.s_reader chunk n;
-                    (* A hello binds this stray to its slot; results
-                       and beats are dispatched by worker id (stale
-                       ones fence naturally). *)
-                    let rec pump () =
-                      match Proto.next s.s_reader with
-                      | None -> ()
-                      | Some j ->
-                        (match Proto.of_json j with
-                        | Some (Proto.Hello { worker; pid; proto; token; crc })
-                          when proto >= 2 ->
-                          admit_remote s ~worker ~pid ~proto ~tok:token ~crc
-                        | Some (Proto.Hello { worker; pid; _ }) -> (
-                          match slot_of_worker_id worker with
-                          | Some w -> (
-                            match w.inc with
-                            | Some inc
-                              when inc.fd = None && inc.pid = pid ->
-                              inc.fd <- Some fd;
-                              inc.reader <- s.s_reader;
-                              inc.hello <- true;
-                              inc.last_seen <- Clock.now_s ();
-                              drop_stray fd
-                            | _ ->
-                              (* Not the incarnation we are waiting
-                                 for: keep it stray (it is a zombie). *)
-                              ())
-                          | None -> ())
-                        | Some
-                            (Proto.Result
-                               {
-                                 worker; lease; epoch; task; ok; wall_s;
-                                 file; err; transient; data;
-                               }) ->
-                          (* A zombie's late result: its lease was
-                             reclaimed when we declared it dead, so
-                             this fences — attributed to the slot. *)
-                          accept_result
-                            (slot_of_worker_id worker)
-                            (lease, epoch, task, ok, wall_s, file, err,
-                             transient, data)
-                        | Some _ -> ()  (* stray beats: ignore *)
-                        | None -> ());
-                        if List.exists (fun x -> x.s_fd = fd) !strays then
-                          pump ()
-                    in
-                    match pump () with
-                    | () -> ()
-                    | exception Proto.Protocol_error _ ->
-                      close_quiet fd;
-                      drop_stray fd)))
-            end)
-          readable;
-        (* Heartbeat deadlines: silence past the timeout means dead —
-           maybe hung, maybe OOM-killed before the socket closed.  The
-           connection (if any) survives as a stray so late writes are
-           fenced rather than lost in a closed pipe. *)
+              | exception Unix.Unix_error (_, _, _) -> ())
+          listeners;
+        (* Death is a pid exit.  A dead worker's link reads EOF first,
+           so only incarnations without a link (not admitted yet, or
+           disconnected) are polled. *)
+        Array.iter
+          (fun w ->
+            match w.inc with
+            | Some { pid = Some pid; link = None; _ } -> (
+              match Unix.waitpid [ Unix.WNOHANG ] pid with
+              | 0, _ -> ()
+              | _ -> declare_dead ~exited:true ~ev:"worker_death" w
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | exception Unix.Unix_error _ ->
+                declare_dead ~exited:true ~ev:"worker_death" w)
+            | _ -> ())
+          slots;
+        (* Heartbeat deadlines, the backstop for death and disconnect
+           alike: silence past the timeout means dead — hung, or gone
+           without a trace.  A link still open survives as a zombie
+           stray so late writes are fenced rather than lost. *)
         let now = Clock.now_s () in
         List.iter
           (fun w ->
             match w.inc with
             | Some inc when now -. inc.last_seen > config.heartbeat_timeout_s
               ->
-              declare_dead ~ev:"heartbeat_timeout" ~zombie:true w
+              declare_dead ~ev:"heartbeat_timeout" w
             | _ -> ())
           (all_slots ());
         (* Stalled strays: a half-open connection holding bytes of an
@@ -1051,8 +1039,8 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
          let dropped, kept =
            List.partition
              (fun s ->
-               Proto.stalled s.s_reader ~now ~timeout
-               || (s.s_pid = None && Proto.age s.s_reader ~now > timeout))
+               Proto.stalled s.s_link.reader ~now ~timeout
+               || (s.s_pid = None && Proto.age s.s_link.reader ~now > timeout))
              !strays
          in
          if dropped <> [] then begin
@@ -1066,8 +1054,8 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
                     ?detail:
                       (Option.map (Printf.sprintf "zombie pid %d") s.s_pid)
                     ());
-               close_quiet s.s_fd;
-               match s.s_pid with Some pid -> reap_later pid | None -> ())
+               close_quiet s.s_link.fd;
+               Option.iter reap_later s.s_pid)
              dropped
          end);
         (* Reap exited children: the WNOHANG at kill time can race the
@@ -1087,7 +1075,7 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
             List.filter
               (fun w ->
                 match w.inc with
-                | Some { hello = true; _ } -> (
+                | Some { link = Some _; _ } -> (
                   match w.lease with
                   | None -> true
                   | Some lease_id -> (
@@ -1107,12 +1095,12 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
           | [] -> ()
           | _ ->
             let w = List.nth victims (Rng.int chaos_rng (List.length victims)) in
-            (match w.inc with
-            | Some inc ->
-              w.chaos_pending <- true;
-              journal (incident_record "chaos_kill" ~worker:w.slot ());
-              kill_quiet Sys.sigkill inc.pid
-            | None -> ())
+            Option.iter
+              (fun inc ->
+                w.chaos_pending <- true;
+                journal (incident_record "chaos_kill" ~worker:w.slot ());
+                Option.iter (kill_quiet Sys.sigkill) inc.pid)
+              w.inc
         end
       done;
       (* Tasks never decided: shutdown or abort upstream. *)
@@ -1158,7 +1146,7 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
               tasks_done = w.tasks_done;
               fenced = w.fenced;
               demoted = w.demoted;
-              remote = w.remote;
+              remote = w.slot >= config.workers;
             })
           (all_slots ());
     }

@@ -11,31 +11,39 @@
     fencing epoch, journaled to the campaign WAL before the grant is
     sent, so the log always knows who was allowed to produce what.
 
-    {b Remote admission} — a TCP worker opens with a versioned hello
-    (protocol version, campaign token, CRC request).  Version or
-    token mismatches are rejected {e at the door} with a terminal
-    [Reject] frame — a stray worker from another campaign never
-    touches a lease.  Admitted workers get a [Welcome] naming their
-    worker id (fresh ids are allocated above the local slot range;
-    a returning id resumes its slot) and, when negotiated, every
-    subsequent frame in both directions carries a CRC-32 trailer: a
-    corrupted stream surfaces as a protocol error → disconnect →
-    reconnect, never as a silently-wrong grant or result.  Remote
-    results inline their captured bytes in the frame; the coordinator
-    materializes them through the same stamped-partial + atomic-rename
-    path a local worker's file takes.
+    {b Admission} — every worker, forked or remote, opens with the
+    same versioned hello (protocol version, worker id, pid, CRC
+    request, and over TCP the campaign token), and one admission
+    function serves both listeners.  A missing or foreign version, a
+    wrong token on a TCP link, or a hello naming a local slot with a
+    pid that is not that slot's current process is rejected {e at the
+    door} with a terminal [Reject] frame — a stray worker from another
+    campaign, or an orphan of a killed coordinator after [--resume],
+    never touches a lease.  Admitted workers get a [Welcome] naming
+    their worker id (fresh TCP ids are allocated above the local slot
+    range; a returning id resumes its slot) and, when negotiated,
+    every subsequent frame in both directions carries a CRC-32
+    trailer: a corrupted stream surfaces as a protocol error →
+    disconnect → resume, never as a silently-wrong grant or result.
+    TCP results inline their captured bytes in the frame; the
+    coordinator materializes them through the same stamped-partial +
+    atomic-rename path a forked worker's file takes.
 
-    {b Failure model} — a local worker can die at any instant (crash,
-    segfault, OOM-kill, [kill -9]) or hang (heartbeat timeout).  On
-    either, the coordinator reclaims the lease (bumping the fencing
-    epoch), journals the incident, returns the unfinished tasks to
-    the queue for a surviving worker, and — unless the slot exhausted
-    its restart budget — forks a replacement.  A remote worker's drop
-    (EOF, reset, heartbeat timeout) reclaims the same way but charges
-    {e no} retry budget — network faults are exogenous, like chaos
-    kills — and leaves the slot ready for the worker to reconnect and
-    resume; an uncharged-reassignment cap bounds the livelock a
-    permanently flapping link could cause.  A {e zombie} (declared
+    {b Failure model} — a slot differs between local and remote only
+    in owning a pid.  EOF (or a broken stream) on any slot means
+    {e disconnected}: the lease stays held and the worker is expected
+    to reconnect and resume, upon which its active lease is
+    regranted.  The exit of a local slot's pid means {e death}: a
+    local worker can die at any instant (crash, segfault, OOM-kill,
+    [kill -9]), and the coordinator then reclaims the lease (bumping
+    the fencing epoch), journals the incident, returns the unfinished
+    tasks to the queue for a surviving worker, and — unless the slot
+    exhausted its restart budget — forks a replacement.  The
+    heartbeat timeout is the backstop for both: a silent slot is
+    declared dead.  A remote slot's death charges {e no} retry budget
+    — network faults are exogenous, like chaos kills — and an
+    uncharged-reassignment cap bounds the livelock a permanently
+    flapping link could cause.  A {e zombie} (declared
     dead but still writing) can only speak with its stale lease/epoch
     pair; its results are fenced, counted, and its stamped output file
     deleted, so it can never corrupt the campaign.  The same fencing
@@ -62,8 +70,11 @@
     {b Shutdown} — the [cancel] token (default
     {!Rumor_par.Pool.global}, wired to SIGINT/SIGTERM by
     {!Campaign.install_signal_handlers}) stops new grants; in-flight
-    batches drain, workers are stopped, and a [--resume] run
-    continues bit-identically from the journal. *)
+    batches drain, then every worker is sent [Stop] at once and given
+    one shared 2 s deadline to hang up before the stragglers are
+    SIGKILLed; every forked pid is reaped.  A [--resume] run continues
+    bit-identically from the journal, stamping its leases above the
+    journal's largest lease id and epoch. *)
 
 type config = {
   dir : string;  (** journal, manifest and [tasks/] outputs live here *)
@@ -112,7 +123,9 @@ type worker_stats = {
   tasks_done : int;
   fenced : int;  (** stale-epoch results rejected from this slot *)
   demoted : bool;
-  remote : bool;  (** joined over TCP *)
+  remote : bool;
+      (** not forked by this coordinator (a slot id at or above
+          [config.workers]), so its incarnations own no pid *)
 }
 
 type summary = {
@@ -128,15 +141,19 @@ type summary = {
   fences : int;  (** live stale-epoch results rejected *)
   replay_fenced : int;  (** journal done-records rejected at replay *)
   worker_deaths : int;
-      (** uncommanded deaths (timeouts and remote drops included) *)
+      (** uncommanded deaths: local pid exits and heartbeat timeouts
+          (remote slots included); a disconnect is not a death *)
   worker_restarts : int;
   chaos_kills : int;
   stalled_drops : int;
       (** stray connections dropped for holding a partial frame (or
           never completing a hello) past the heartbeat timeout *)
   remote_reconnects : int;
-      (** admitted hellos that resumed an existing remote slot *)
-  rejected : int;  (** hellos refused at admission (token/version) *)
+      (** admitted hellos that resumed a slot's current incarnation
+          after a disconnect — local and remote slots alike *)
+  rejected : int;
+      (** hellos refused at admission (version, token, or a pid that
+          is not the named local slot's process) *)
   wal_corrupt_records : int;
   wall_s : float;
   workers : worker_stats list;  (** local slots, then remote joiners *)
@@ -165,7 +182,8 @@ val run :
   summary
 (** Run the campaign over the named tasks.  [spawn] forks one worker
     process for a local slot and returns its pid; the worker must
-    connect to [socket] and speak {!Proto} (use {!Worker.run}, either
+    connect to [socket], say hello with that slot as its id and that
+    pid as its pid, and speak {!Proto} (use {!Worker.run}, either
     behind an exec of the CLI's [worker] subcommand or directly after
     [Unix.fork]).  Remote workers join on their own over
     [config.listen].  The manifest is written on every exit path.

@@ -16,7 +16,8 @@ type t = {
   table : (int, entry) Hashtbl.t;
 }
 
-let create () = { next_id = 1; fence = 0; table = Hashtbl.create 16 }
+let create ?after:((last_id, last_epoch) = (0, 0)) () =
+  { next_id = last_id + 1; fence = last_epoch; table = Hashtbl.create 16 }
 
 let epoch t = t.fence
 

@@ -23,7 +23,13 @@ type lease = {
   tasks : string list;  (** batch, in execution order *)
 }
 
-val create : unit -> t
+val create : ?after:int * int -> unit -> t
+(** A table whose first grant is stamped above [after] = (largest
+    lease id, largest epoch) of a recovered journal (default [(0, 0)]:
+    lease 1, epoch 1).  A resumed run must pass its journal's
+    high-water mark: {!Replay} remembers every reclaimed id, so a
+    reused (lease, epoch) pair would make a later resume distrust a
+    task that finished correctly. *)
 
 val epoch : t -> int
 (** Current fencing epoch (advances on every grant and reclaim). *)

@@ -116,18 +116,40 @@ let next r =
     end
   end
 
-let recv fd r =
+(* [deadline] bounds the whole wait (a handshake that must answer in
+   time); [stall_timeout] bounds only a partial frame's silence, so an
+   idle connection with an empty buffer waits indefinitely.  Either
+   way the wait is one [select] per read, never a polling slice. *)
+let recv ?deadline ?stall_timeout fd r =
   let chunk = Bytes.create 65536 in
   let rec go () =
     match next r with
     | Some _ as frame -> frame
-    | None -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> None
-      | n ->
-        feed r chunk n;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+    | None ->
+      let now = Rumor_obs.Clock.now_s () in
+      let wait =
+        Float.min
+          (match deadline with Some d -> d -. now | None -> infinity)
+          (match stall_timeout with
+          | Some s when pending r -> s -. age r ~now
+          | _ -> infinity)
+      in
+      if wait <= 0. then raise (Protocol_error "receive timed out")
+      else if
+        wait < infinity
+        &&
+        match Unix.select [ fd ] [] [] wait with
+        | ready, _, _ -> ready = []
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+      then go ()
+      else begin
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | n ->
+          feed r chunk n;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      end
   in
   go ()
 
@@ -144,6 +166,7 @@ type msg =
   | Welcome of { worker : int; proto : int; crc : bool }
   | Reject of { reason : string }
   | Beat of { worker : int }
+  | Idle of { worker : int; grants : int }
   | Result of {
       worker : int;
       lease : int;
@@ -163,13 +186,8 @@ let to_json = function
   | Hello { worker; pid; proto; token; crc } ->
     Json.Obj
       ([ ("k", Json.String "hello"); ("w", Json.Int worker);
-         ("pid", Json.Int pid) ]
-      @ (if proto > 1 then
-           [ ("v", Json.Int proto); ("crc", Json.Bool crc) ]
-           @ match token with
-             | Some t -> [ ("tok", Json.String t) ]
-             | None -> []
-         else []))
+         ("pid", Json.Int pid); ("v", Json.Int proto); ("crc", Json.Bool crc) ]
+      @ match token with Some t -> [ ("tok", Json.String t) ] | None -> [])
   | Welcome { worker; proto; crc } ->
     Json.Obj
       [ ("k", Json.String "welcome"); ("w", Json.Int worker);
@@ -178,6 +196,9 @@ let to_json = function
     Json.Obj [ ("k", Json.String "reject"); ("err", Json.String reason) ]
   | Beat { worker } ->
     Json.Obj [ ("k", Json.String "beat"); ("w", Json.Int worker) ]
+  | Idle { worker; grants } ->
+    Json.Obj
+      [ ("k", Json.String "idle"); ("w", Json.Int worker); ("g", Json.Int grants) ]
   | Result { worker; lease; epoch; task; ok; wall_s; file; err; transient; data }
     ->
     Json.Obj
@@ -213,16 +234,9 @@ let of_json j =
   | Some "hello" ->
     let* worker = int "w" in
     let* pid = int "pid" in
-    Some
-      (Hello
-         {
-           worker;
-           pid;
-           (* Absent fields = a legacy (PR-6, Unix-socket) peer. *)
-           proto = Option.value ~default:1 (int "v");
-           token = str "tok";
-           crc = Option.value ~default:false (bool "crc");
-         })
+    let* proto = int "v" in
+    let* crc = bool "crc" in
+    Some (Hello { worker; pid; proto; token = str "tok"; crc })
   | Some "welcome" ->
     let* worker = int "w" in
     let* proto = int "v" in
@@ -234,6 +248,10 @@ let of_json j =
   | Some "beat" ->
     let* worker = int "w" in
     Some (Beat { worker })
+  | Some "idle" ->
+    let* worker = int "w" in
+    let* grants = int "g" in
+    Some (Idle { worker; grants })
   | Some "res" ->
     let* worker = int "w" in
     let* lease = int "lease" in

@@ -14,37 +14,46 @@
     big-endian CRC-32 of the payload after the payload bytes.  A
     mismatch raises {!Protocol_error}: on a WAN a flipped bit must
     surface as a reconnect, never as a silently-wrong grant or
-    result.  The trailer is off for legacy Unix-socket peers, whose
-    frames are byte-identical to protocol version 1.
+    result.  Workers on either transport ask for it.
 
     {b Messages} (field [k] discriminates):
 
     worker → coordinator:
-    - [{"k":"hello","w":W,"pid":P(,"v":2,"crc":B,"tok":T)}] — sent
-      once after connecting.  The [v]/[crc]/[tok] fields appear only
-      from protocol-2 (TCP) workers; their absence marks a legacy
-      peer.  [w] = -1 asks the coordinator to assign a worker id.
-    - [{"k":"beat","w":W}] — periodic liveness heartbeat.
+    - [{"k":"hello","w":W,"pid":P,"v":2,"crc":B(,"tok":T)}] — sent
+      once after connecting, on the Unix socket and over TCP alike.
+      [w] = -1 asks the coordinator to assign a worker id; [pid]
+      proves a forked worker is the current incarnation of its local
+      slot; [tok] is the campaign token (checked on TCP only).
+    - [{"k":"beat","w":W}] — periodic liveness heartbeat of a worker
+      running a batch.
+    - [{"k":"idle","w":W,"g":N}] — the heartbeat of a worker waiting
+      for work, which has processed [N] grants on this connection.
+      It lets the coordinator notice a frame that vanished whole (a
+      broken middlebox can drop one without tripping the CRC): with
+      an active lease outstanding, [N] equal to the grants sent means
+      a result was lost, and [N] short of them twice in a row means a
+      grant was; either way the lease is regranted.
     - [{"k":"res","w":W,"lease":L,"ep":E,"task":ID,"ok":B,
         "wall":"<%h>","file":F
         (,"err":MSG,"cls":"transient"|"poison","data":BYTES)}]
       — one task of lease [L] (fencing epoch [E]) finished; [file] is
-      the basename of the captured-output file.  Remote workers
-      inline the captured bytes as [data] (no shared filesystem);
-      local workers omit it and the coordinator reads the file.
+      the basename of the captured-output file.  TCP workers inline
+      the captured bytes as [data] (no shared filesystem); Unix-socket
+      workers omit it and the coordinator reads the file.
 
     coordinator → worker:
-    - [{"k":"welcome","w":W,"v":V,"crc":B}] — protocol-2 admission
-      reply: the worker id to use from now on (binding for [w]=-1
-      hellos and resumes alike) and whether CRC trailers are on for
-      every {e subsequent} frame in both directions.  The hello and
-      the welcome themselves are always sent without a trailer.
-      Never sent to legacy peers.
-    - [{"k":"reject","err":R}] — admission refused (bad token,
-      unsupported protocol version); the coordinator closes the
+    - [{"k":"welcome","w":W,"v":V,"crc":B}] — admission reply: the
+      worker id to use from now on (binding for [w]=-1 hellos and
+      resumes alike) and whether CRC trailers are on for every
+      {e subsequent} frame in both directions.  The hello and the
+      welcome themselves are always sent without a trailer.
+    - [{"k":"reject","err":R}] — admission refused (missing or
+      unsupported protocol version, bad token, a pid that is not the
+      named local slot's current process); the coordinator closes the
       connection right after.  Terminal: the worker must not retry.
     - [{"k":"grant","lease":L,"ep":E,"tasks":[ID,...]}] — a lease on a
-      batch of task ids.
+      batch of task ids.  A regrant of a lease the worker already
+      processed makes it re-send the results it holds for it.
     - [{"k":"stop"}] — drain and exit cleanly.
 
     A reader tolerates partial frames (stream reassembly) and reports
@@ -57,8 +66,8 @@ module Json = Rumor_obs.Json
 exception Protocol_error of string
 
 val version : int
-(** Current protocol version (2).  Version 1 is the PR-6 wire format:
-    no welcome, no CRC trailer, no [v]/[crc]/[tok]/[data] fields. *)
+(** The protocol version (2) — the only one spoken: a hello whose [v]
+    is absent or differs is rejected at admission. *)
 
 val max_frame : int
 (** Upper bound on accepted payload length (8 MiB) — a corrupt length
@@ -119,10 +128,16 @@ val age : reader -> now:float -> float
 val stalled : reader -> now:float -> timeout:float -> bool
 (** [pending r && age r ~now > timeout]. *)
 
-val recv : Unix.file_descr -> reader -> Json.t option
-(** Blocking convenience for the worker side: read until one frame
-    completes; [None] on EOF.
-    @raise Protocol_error as {!next}. *)
+val recv :
+  ?deadline:float -> ?stall_timeout:float -> Unix.file_descr -> reader ->
+  Json.t option
+(** Block until one frame completes; [None] on EOF.  [deadline] (an
+    absolute {!Rumor_obs.Clock.now_s} time) bounds the whole wait;
+    [stall_timeout] bounds how long bytes of a partial frame may sit
+    without progress ({!stalled}) — an empty buffer waits
+    indefinitely.  Each wait is a single [select], not a poll.
+    @raise Protocol_error as {!next}, or ["receive timed out"] when a
+    bound is hit. *)
 
 (** {1 Message constructors / parsers}
 
@@ -131,15 +146,17 @@ val recv : Unix.file_descr -> reader -> Json.t option
 
 type msg =
   | Hello of {
-      worker : int;  (** -1 = assign me an id (fresh protocol-2 join) *)
+      worker : int;  (** -1 = assign me an id (fresh TCP join) *)
       pid : int;
-      proto : int;  (** 1 for legacy peers (fields absent on the wire) *)
+      proto : int;  (** the [v] field, required on the wire *)
       token : string option;
       crc : bool;  (** worker requests CRC trailers after the welcome *)
     }
   | Welcome of { worker : int; proto : int; crc : bool }
   | Reject of { reason : string }
   | Beat of { worker : int }
+  | Idle of { worker : int; grants : int }
+      (** [grants]: grants fully processed on this connection *)
   | Result of {
       worker : int;
       lease : int;
@@ -151,14 +168,15 @@ type msg =
       err : string option;
       transient : bool;
       data : string option;
-          (** inlined captured-output bytes (remote workers only) *)
+          (** inlined captured-output bytes (TCP workers only) *)
     }
   | Grant of { lease : int; epoch : int; tasks : string list }
   | Stop
 
 val to_json : msg -> Json.t
-(** A [Hello] with [proto <= 1] renders byte-identical to the
-    version-1 wire format (no [v]/[crc]/[tok] fields), so legacy
-    coordinators keep accepting it. *)
+(** Every [Hello] renders [v] and [crc]; [tok] only when present. *)
 
 val of_json : Json.t -> msg option
+(** [None] on any shape mismatch, including a hello without [v] or
+    [crc] — to the coordinator that is a first frame that is not a
+    hello, and is rejected. *)

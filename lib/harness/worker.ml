@@ -95,6 +95,7 @@ let connect ?(attempts = 10) ~seed transport =
         | _ -> false
       in
       if retry && k < attempts then begin
+        (* Backoff pacing between connect attempts. *)
         Unix.sleepf (backoff_s ~seed ~attempt:k);
         go (k + 1)
       end
@@ -130,7 +131,7 @@ let run_captured ~tasks_dir ~task ~lease ~epoch run_task =
   restore ();
   (file, outcome)
 
-(* Remote results inline the captured bytes.  The cap leaves the JSON
+(* TCP results inline the captured bytes.  The cap leaves the JSON
    escaper (worst case six output bytes per input byte) comfortable
    room under [Proto.max_frame], so building the frame can never
    itself raise. *)
@@ -149,214 +150,151 @@ let read_back path =
 exception Reconnect of string
 exception Fatal of string
 
-let rec select_read fd timeout =
-  match Unix.select [ fd ] [] [] timeout with
-  | ready, _, _ -> ready <> []
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_read fd timeout
-
-let rec read_chunk fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk fd buf
-
 let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
     ~transport ~id ~tasks_dir ~run_task () =
   (* A coordinator that died mid-write must surface as EPIPE on our
      next send, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let legacy = match transport with Unix_sock _ -> true | Tcp _ -> false in
-  let token =
-    match transport with Tcp { token; _ } -> token | Unix_sock _ -> None
+  (* A TCP peer shares no filesystem with the coordinator, so its
+     results carry the captured bytes; the campaign token applies to
+     TCP admission only. *)
+  let token, inline =
+    match transport with
+    | Tcp { token; _ } -> (token, true)
+    | Unix_sock _ -> (None, false)
   in
   let seed = Int64.of_int (if id >= 0 then id + 1 else Unix.getpid ()) in
   let sess_id = ref id in
   (* Results of the current lease the coordinator has not provably
-     processed yet; re-sent after a reconnect so a result whose frame
-     died with the connection still arrives (lease/epoch replay on the
-     coordinator decides whether to trust a duplicate). *)
+     processed yet; re-sent when the lease is regranted, so a result
+     whose frame died with a connection still arrives (lease/epoch
+     replay on the coordinator decides whether to trust a duplicate). *)
   let unacked : Proto.msg list ref = ref [] (* newest first *) in
   let conn_cell : (conn * int) option Atomic.t = Atomic.make None in
-  let stop_beats = Atomic.make false in
+  (* Grants fully processed on the current connection, or -1 while a
+     batch runs: the heartbeat reports it so the coordinator can tell
+     a lost grant or result from one still in flight. *)
+  let idle = Atomic.make 0 in
+  (* Self-pipe: one byte on [wake_w] ends the heartbeat domain at once,
+     so an orderly Stop never waits out a heartbeat period. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let beats =
     Domain.spawn (fun () ->
-        (* Sleep in small slices: an orderly Stop must not wait out
-           a whole heartbeat period before the domain can join. *)
-        let rec nap left =
-          if left > 0. && not (Atomic.get stop_beats) then begin
-            let dt = Float.min 0.05 left in
-            Unix.sleepf dt;
-            nap (left -. dt)
-          end
-        in
-        while not (Atomic.get stop_beats) do
-          nap heartbeat_s;
-          if not (Atomic.get stop_beats) then
-            match Atomic.get conn_cell with
+        let rec loop () =
+          match Unix.select [ wake_r ] [] [] heartbeat_s with
+          | [], _, _ ->
+            (match Atomic.get conn_cell with
             | None -> () (* between sessions: nothing to prove alive on *)
             | Some (conn, w) -> (
-              try send conn (Proto.Beat { worker = w })
+              let grants = Atomic.get idle in
+              try
+                send conn
+                  (if grants < 0 then Proto.Beat { worker = w }
+                   else Proto.Idle { worker = w; grants })
               with Unix.Unix_error _ | Sys_error _ ->
                 (* Main loop owns reconnect; drop the beat. *)
-                ())
-        done)
+                ()));
+            loop ()
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+        in
+        loop ())
   in
   let reconnects = ref 0 in
   (* Consecutive sessions that died before completing the handshake;
      gates an extra between-session backoff so a coordinator that
      accepts and immediately drops us is not hammered. *)
   let fail_streak = ref 0 in
-  let recv_deadline conn reader ~deadline_s =
-    let deadline = Clock.now_s () +. deadline_s in
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      match Proto.next reader with
-      | Some j -> Some j
-      | None ->
-        if Clock.now_s () > deadline then begin
-          incr fail_streak;
-          raise (Reconnect "handshake timeout")
-        end;
-        if select_read conn.fd 0.2 then begin
-          match read_chunk conn.fd chunk with
-          | 0 -> None
-          | n ->
-            Proto.feed reader chunk n;
-            go ()
-        end
-        else go ()
-    in
-    go ()
-  in
   let handshake conn reader =
-    if legacy then begin
-      send conn
-        (Proto.Hello
-           {
-             worker = !sess_id;
-             pid = Unix.getpid ();
-             proto = 1;
-             token = None;
-             crc = false;
-           });
-      fail_streak := 0
-    end
-    else begin
-      send conn
-        (Proto.Hello
-           {
-             worker = !sess_id;
-             pid = Unix.getpid ();
-             proto = Proto.version;
-             token;
-             crc = true;
-           });
-      match Option.map Proto.of_json (recv_deadline conn reader ~deadline_s:10.)
-      with
-      | None ->
-        incr fail_streak;
-        raise (Reconnect "no welcome (EOF)")
-      | Some (Some (Proto.Welcome { worker; proto = _; crc })) ->
-        sess_id := worker;
-        conn.crc <- crc;
-        Proto.set_crc reader crc;
-        fail_streak := 0
-      | Some (Some (Proto.Reject { reason })) ->
-        raise (Fatal (Printf.sprintf "admission rejected: %s" reason))
-      | Some _ ->
-        incr fail_streak;
-        raise (Reconnect "unexpected pre-welcome frame")
-    end
-  in
-  let recv_msg conn reader =
-    if legacy then Proto.recv conn.fd reader
-    else begin
-      let chunk = Bytes.create 65536 in
-      let rec go () =
-        match Proto.next reader with
-        | Some j -> Some j
-        | None ->
-          if select_read conn.fd 0.25 then begin
-            match read_chunk conn.fd chunk with
-            | 0 -> None
-            | n ->
-              Proto.feed reader chunk n;
-              go ()
-          end
-          else if
-            Proto.stalled reader ~now:(Clock.now_s ()) ~timeout:read_timeout_s
-          then raise (Reconnect "mid-frame read timeout")
-          else go ()
-      in
-      go ()
-    end
+    send conn
+      (Proto.Hello
+         {
+           worker = !sess_id;
+           pid = Unix.getpid ();
+           proto = Proto.version;
+           token;
+           crc = true;
+         });
+    match
+      Proto.recv ~deadline:(Clock.now_s () +. 10.) conn.fd reader
+      |> Option.map Proto.of_json
+    with
+    | None -> raise (Reconnect "no welcome (EOF)")
+    | Some (Some (Proto.Welcome { worker; proto = _; crc })) ->
+      sess_id := worker;
+      conn.crc <- crc;
+      Proto.set_crc reader crc
+    | Some (Some (Proto.Reject { reason })) ->
+      raise (Fatal (Printf.sprintf "admission rejected: %s" reason))
+    | Some _ -> raise (Reconnect "unexpected pre-welcome frame")
   in
   let result_msg ~lease ~epoch ~task ~file outcome =
-    match outcome with
-    | Ok wall_s ->
-      if legacy then
-        Proto.Result
-          {
-            worker = !sess_id; lease; epoch; task; ok = true; wall_s; file;
-            err = None; transient = false; data = None;
-          }
-      else begin
-        (* No shared filesystem with the coordinator: ship the bytes. *)
-        match read_back (Filename.concat tasks_dir file) with
-        | Some s when String.length s <= max_inline ->
-          Proto.Result
-            {
-              worker = !sess_id; lease; epoch; task; ok = true; wall_s; file;
-              err = None; transient = false; data = Some s;
-            }
-        | Some s ->
-          Proto.Result
-            {
-              worker = !sess_id; lease; epoch; task; ok = false; wall_s; file;
-              err =
-                Some
-                  (Printf.sprintf "captured output of %d bytes exceeds the %d-byte inline cap"
-                     (String.length s) max_inline);
-              transient = false; data = None;
-            }
-        | None ->
-          Proto.Result
-            {
-              worker = !sess_id; lease; epoch; task; ok = false; wall_s; file;
-              err = Some "cannot read captured output back"; transient = true;
-              data = None;
-            }
-      end
-    | Error (wall_s, e) ->
+    let result ?err ?data ?(transient = false) ~ok wall_s =
       Proto.Result
         {
-          worker = !sess_id; lease; epoch; task; ok = false; wall_s; file;
-          err = Some (Printexc.to_string e);
-          transient = Campaign.default_classify e = Campaign.Transient;
-          data = None;
+          worker = !sess_id; lease; epoch; task; ok; wall_s; file; err;
+          transient; data;
         }
+    in
+    match outcome with
+    | Ok wall_s when not inline -> result ~ok:true wall_s
+    | Ok wall_s -> (
+      match read_back (Filename.concat tasks_dir file) with
+      | Some s when String.length s <= max_inline ->
+        result ~ok:true ~data:s wall_s
+      | Some s ->
+        result ~ok:false wall_s
+          ~err:
+            (Printf.sprintf
+               "captured output of %d bytes exceeds the %d-byte inline cap"
+               (String.length s) max_inline)
+      | None ->
+        result ~ok:false ~transient:true wall_s
+          ~err:"cannot read captured output back")
+    | Error (wall_s, e) ->
+      result ~ok:false wall_s ~err:(Printexc.to_string e)
+        ~transient:(Campaign.default_classify e = Campaign.Transient)
   in
   let handle_grant conn ~lease ~epoch tasks =
-    (* A fresh grant proves the coordinator processed everything we
-       sent on the previous lease: drop the replay buffer. *)
-    unacked := [];
+    (* A grant of a new lease proves the coordinator processed
+       everything we sent on the previous one: drop those results.  A
+       regrant of the same lease (after a resume, or when a frame was
+       lost) re-sends the results held for it instead of re-running
+       their tasks — a re-run would rewrite the stamped capture file
+       the coordinator may be about to rename. *)
+    Atomic.set idle (-1);
+    unacked :=
+      List.filter
+        (function
+          | Proto.Result r -> r.lease = lease && r.epoch = epoch
+          | _ -> false)
+        !unacked;
     let broken = ref None in
     List.iter
       (fun task ->
-        let file, outcome =
-          run_captured ~tasks_dir ~task ~lease ~epoch run_task
+        let msg =
+          match
+            List.find_opt
+              (function Proto.Result r -> r.task = task | _ -> false)
+              !unacked
+          with
+          | Some held -> held
+          | None ->
+            let file, outcome =
+              run_captured ~tasks_dir ~task ~lease ~epoch run_task
+            in
+            let msg = result_msg ~lease ~epoch ~task ~file outcome in
+            unacked := msg :: !unacked;
+            msg
         in
-        let msg = result_msg ~lease ~epoch ~task ~file outcome in
-        unacked := msg :: !unacked;
         if !broken = None then
           try send conn msg
           with (Unix.Unix_error _ | Sys_error _) as e ->
-            if legacy then raise e
-            else
-              (* Finish the whole batch first — the work is done
-                 either way; results flow through [unacked] after the
-                 reconnect. *)
-              broken := Some (Printexc.to_string e))
+            (* Finish the whole batch first — the work is done either
+               way; the results are re-sent when the resumed session
+               regrants the lease. *)
+            broken := Some (Printexc.to_string e))
       tasks;
     match !broken with
     | Some why -> raise (Reconnect ("send failed: " ^ why))
@@ -371,6 +309,7 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
     | Some fd -> (
       let conn = { fd; lock = Mutex.create (); crc = false; closed = false } in
       let reader = Proto.reader () in
+      let admitted = ref false in
       let outcome =
         Fun.protect
           ~finally:(fun () ->
@@ -379,16 +318,22 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
           (fun () ->
             try
               handshake conn reader;
+              admitted := true;
+              let grants = ref 0 in
+              Atomic.set idle 0;
               Atomic.set conn_cell (Some (conn, !sess_id));
-              List.iter (fun m -> send conn m) (List.rev !unacked);
               let rec loop () =
-                match recv_msg conn reader with
-                | None -> if legacy then `Done 0 else raise (Reconnect "eof")
+                match
+                  Proto.recv ~stall_timeout:read_timeout_s conn.fd reader
+                with
+                | None -> raise (Reconnect "eof")
                 | Some j -> (
                   match Proto.of_json j with
                   | Some Proto.Stop -> `Done 0
                   | Some (Proto.Grant { lease; epoch; tasks }) ->
                     handle_grant conn ~lease ~epoch tasks;
+                    incr grants;
+                    Atomic.set idle !grants;
                     loop ()
                   | Some _ | None ->
                     (* unknown message: ignore, stay compatible *)
@@ -399,20 +344,15 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
             | Fatal msg ->
               Printf.eprintf "rumor worker %d: %s\n%!" !sess_id msg;
               `Done 3
-            | Reconnect why when not legacy -> `Again why
-            | (Unix.Unix_error _ | Sys_error _ | Proto.Protocol_error _) when
-                not legacy ->
-              `Again "connection error"
+            | Reconnect why -> `Again why
             | Unix.Unix_error _ | Sys_error _ | Proto.Protocol_error _ ->
-              (* Legacy path: coordinator vanished or the stream
-                 corrupted — exit quietly; the coordinator reclaims
-                 our lease either way. *)
-              `Done 0)
+              `Again "connection error")
       in
       match outcome with
       | `Done code -> code
       | `Again why ->
         incr reconnects;
+        if !admitted then fail_streak := 0 else incr fail_streak;
         if !reconnects > max_reconnects then begin
           Printf.eprintf
             "rumor worker %d: giving up after %d reconnects (%s)\n%!" !sess_id
@@ -420,6 +360,7 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
           3
         end
         else begin
+          (* Backoff pacing between failed handshakes. *)
           if !fail_streak > 0 then
             Unix.sleepf (backoff_s ~seed ~attempt:(Int.min 10 !fail_streak));
           sessions ()
@@ -427,6 +368,8 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
   in
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set stop_beats true;
-      Domain.join beats)
+      ignore (Unix.write_substring wake_w "x" 0 1);
+      Domain.join beats;
+      Unix.close wake_r;
+      Unix.close wake_w)
     sessions

@@ -11,25 +11,28 @@
     name ([.<task>.l<lease>e<epoch>.partial] inside [tasks_dir]); only
     the coordinator renames an accepted file to its canonical
     [<task>.out], so a zombie worker's late file can never clobber the
-    output of the reassigned run.  Remote (TCP) workers additionally
-    inline the captured bytes in the result frame, since the
-    coordinator cannot read their filesystem.
+    output of the reassigned run.  TCP workers additionally inline the
+    captured bytes in the result frame, since the coordinator cannot
+    read their filesystem.
 
     {b Heartbeats} — a dedicated domain sends a beat every
     [heartbeat_s] whatever the main loop is doing, so a worker grinding
     through a long replicate still proves liveness; socket writes are
-    mutex-serialized against result frames.
+    mutex-serialized against result frames.  The domain waits on a
+    self-pipe, so an orderly exit wakes and joins it at once.
 
-    {b Reconnect/resume (TCP only)} — on EPIPE/ECONNRESET/EOF or a
-    mid-frame read timeout the worker finishes its in-flight batch,
-    then reconnects with deterministic exponential backoff, re-hellos
-    with its prior worker id, and re-sends the results the coordinator
-    has not provably processed (a fresh grant is the proof).  The
-    coordinator's lease/epoch replay decides whether a re-sent result
-    is still trusted, so a duplicate can never corrupt an output.  A
-    [Reject] at admission (bad token, bad protocol version) is
-    terminal — exit code 3, no retry.  Legacy Unix-socket workers keep
-    the PR-6 behaviour exactly: any error or EOF is a quiet exit 0.
+    {b Reconnect/resume} — on either transport, on EPIPE, ECONNRESET,
+    EOF, a CRC mismatch or a mid-frame read timeout the worker
+    finishes its in-flight batch, then reconnects (with deterministic
+    exponential backoff after a failed handshake), re-hellos with its
+    worker id and pid, and re-sends the results the coordinator has
+    not provably processed (a grant of a new lease is the proof).  A
+    regrant of the same lease, which the coordinator sends on resume,
+    skips the tasks whose results are held.  The coordinator's
+    lease/epoch check decides whether a re-sent result is still
+    trusted, so a duplicate can never corrupt an output.  A [Reject]
+    at admission (bad version, bad token, a pid that is not the
+    slot's current process) is terminal — exit code 3, no retry.
 
     {b Determinism} — tasks run in-process through [run_task] exactly
     as the single-process campaign would run them ([Experiment.print]
@@ -74,15 +77,15 @@ val run :
   run_task:(string -> unit) ->
   unit ->
   int
-(** Serve until the coordinator says [Stop] or (legacy transport)
-    hangs up; returns the process exit code: 0 on an orderly stop, 3
-    when the coordinator is unreachable, admission is rejected, or
-    [max_reconnects] (default 100) TCP sessions in a row have failed.
-    [id] is the worker id to announce; pass [-1] over TCP to let the
+(** Serve until the coordinator says [Stop]; returns the process exit
+    code: 0 on an orderly stop, 3 when the coordinator is unreachable,
+    admission is rejected, or more than [max_reconnects] (default 100)
+    sessions have failed.  [id] is the worker id to announce (a
+    forked worker's local slot); pass [-1] over TCP to let the
     coordinator assign one (the [Welcome] reply is binding either
-    way).  [read_timeout_s] (default 30) bounds how long a TCP worker
-    lets a {e partially received} frame sit before treating the
-    connection as wedged and reconnecting — an idle connection with an
-    empty buffer waits indefinitely.  [run_task] exceptions are
+    way).  [read_timeout_s] (default 30) bounds how long a worker lets
+    a {e partially received} frame sit before treating the connection
+    as wedged and reconnecting — an idle connection with an empty
+    buffer waits indefinitely.  [run_task] exceptions are
     caught, classified with {!Campaign.default_classify} and
     reported in the result frame — they never kill the worker. *)

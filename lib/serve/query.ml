@@ -147,6 +147,8 @@ let engine_of_string = function
 
 let engine_to_string = function Run.Cut -> "cut" | Run.Tick -> "tick"
 
+let ci_cadence = 16
+
 (* Canonical field order: [to_json] is the fingerprint input, so the
    rendering must be a pure function of the query value — unknown wire
    fields ([op], [stream], ...) never survive the round trip. *)
@@ -181,11 +183,14 @@ let to_json q =
         ("points", Json.List (List.map (fun x -> Json.Float x) q.points));
       ]
     (* Adaptive fields render only when requested: the canonical form
-       (hence fingerprint) of every pre-adaptive query is unchanged. *)
+       (hence fingerprint) of every pre-adaptive query is unchanged.
+       The cadence tag keys adaptive answers by the rule that decided
+       them. *)
     @
     match q.ci_width with
     | Some w ->
-      [ ("ci_width", Json.Float w); ("ci_level", Json.Float q.ci_level) ]
+      [ ("ci_width", Json.Float w); ("ci_level", Json.Float q.ci_level);
+        ("ci_cadence", Json.Int ci_cadence) ]
     | None -> [])
 
 let of_json j =
@@ -337,9 +342,11 @@ let sweep ?jobs ?checkpoint ?reps ?chunk ?on_chunk q =
       ~protocol:q.protocol ~rate:q.rate ~faults:(fault_plan q)
       ?max_events:q.max_events ?checkpoint ?chunk ?on_chunk rng net
   | Some w ->
+    (* The stopping decision is the query's, not the caller's: [chunk]
+       only paces fixed-count sweeps. *)
     let config =
       Adaptive.config ~level:q.ci_level ~min_reps:(min 16 reps)
-        ~max_reps:reps ?chunk (Adaptive.Abs w)
+        ~max_reps:reps ~chunk:ci_cadence (Adaptive.Abs w)
     in
     (Run.async_spread_sweep_adaptive ?jobs ~horizon:q.horizon
        ~engine:q.engine ~protocol:q.protocol ~rate:q.rate

@@ -59,9 +59,15 @@ val default : family:string -> n:int -> t
 
 val validate : t -> (t, string) result
 
+val ci_cadence : int
+(** Replicates between the stopping checks of a [ci_width] query (16).
+    A property of the query, not of whoever runs it: rendered into the
+    canonical form of adaptive queries, never of fixed-count ones. *)
+
 val to_json : t -> Json.t
 (** Canonical rendering (fixed field order; [max_events] omitted when
-    [None]) — the fingerprint input. *)
+    [None]; [ci_width], [ci_level] and [ci_cadence] only when
+    [ci_width] is set) — the fingerprint input. *)
 
 val of_json : Json.t -> (t, string) result
 (** Parse a wire query: [family] and [n] are required, everything else
@@ -71,7 +77,23 @@ val fingerprint : t -> int64
 (** 64-bit FNV/SplitMix fold of the canonical rendering. *)
 
 val key : t -> string
-(** {!fingerprint} as 16 hex digits — the cache key. *)
+(** {!fingerprint} as 16 hex digits — the cache key.
+
+    One key, one answer: no [Server.config] field is in the
+    fingerprint, and none can change the served sample.
+    - [dir]: where the store and checkpoints live, not what they hold.
+    - [host], [port], [read_timeout_s]: transport only.
+    - [queue_cap]: a shed query gets no answer, never a different one.
+    - [cache_cap]: an evicted entry is recomputed bit-identically.
+    - [jobs]: replicate streams are split-seed, identical for any job
+      count.
+    - [chunk]: paces partials and checkpoint saves of fixed-count
+      queries, whose sample does not depend on chunking (prefix
+      property); a [ci_width] query stops at {!ci_cadence}, not at
+      [chunk].
+    - [throttle_s]: a test hook that sleeps between chunks.
+    - [max_n], [max_reps]: reject a query outright, never alter it.
+    - [fsync]: durability only. *)
 
 val family_params : t -> Family.params
 
@@ -98,5 +120,7 @@ val sweep :
     A query with [ci_width = Some w] runs
     {!Rumor_sim.Run.async_spread_sweep_adaptive} with
     [Adaptive.config ~level:ci_level ~min_reps:(min 16 reps)
-    ~max_reps:reps ?chunk (Abs w)] and returns its decided prefix, so
-    the stopping point depends on [chunk] (default 16). *)
+    ~max_reps:reps ~chunk:ci_cadence (Abs w)] and returns its decided
+    prefix.  It ignores [chunk]: its stopping point, like its key, is a
+    function of the query alone, and [on_chunk] fires every
+    {!ci_cadence} replicates. *)

@@ -231,10 +231,10 @@ exception Shutting_down
    network is built and the checkpoint loaded once, and the chunk hook
    streams partial quantiles over each decided prefix.  By the sweep's
    prefix guarantee the result is bit-identical to one offline
-   [Query.sweep] of the query.  A [ci_width] query stops at the first
-   chunk boundary where its CI is narrow enough; the store entry then
-   records the consumed prefix, still bit-identical to the same prefix
-   of the fixed-count run. *)
+   [Query.sweep] of the query.  A [ci_width] query decides, and posts
+   partials, at its own cadence ([Query.ci_cadence]) whatever
+   [config.chunk] is; the store entry records the consumed prefix,
+   still bit-identical to the same prefix of the fixed-count run. *)
 let compute t (job : job) =
   let q = job.j_query in
   let fp = job.j_fp in

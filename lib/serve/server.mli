@@ -41,7 +41,9 @@ type config = {
   queue_cap : int;  (** admission-queue bound *)
   cache_cap : int;  (** LRU capacity *)
   jobs : int option;  (** sweep worker domains, [None] = pool default *)
-  chunk : int;  (** replicates per compute chunk *)
+  chunk : int;
+      (** replicates per compute chunk of a fixed-count query; a
+          [ci_width] query runs at {!Query.ci_cadence} instead *)
   read_timeout_s : float;  (** stalled-connection drop; 0 disables *)
   throttle_s : float;  (** test hook: sleep before each chunk *)
   max_n : int;

@@ -91,52 +91,6 @@ let decide config ~consumed ~used ~mean ~sd =
   else if consumed >= config.max_reps then Stop Budget
   else Continue
 
-type result = {
-  consumed : int;
-  used : int;
-  mean : float;
-  sd : float;
-  half_width : float;
-  reason : reason;
-  batches : int;
-}
-
-let run config ~sample =
-  let stream = Stream.create () in
-  let consumed = ref 0 in
-  let batches = ref 0 in
-  let stopped = ref None in
-  while Option.is_none !stopped do
-    let lo = !consumed in
-    let hi = min config.max_reps (lo + config.chunk) in
-    let values = sample ~lo ~hi in
-    if Array.length values <> hi - lo then
-      invalid_arg "Adaptive.run: sampler returned wrong chunk length";
-    Array.iter
-      (function Some v -> Stream.add stream v | None -> ())
-      values;
-    consumed := hi;
-    incr batches;
-    let mean = Stream.mean stream and sd = Stream.stddev stream in
-    match
-      decide config ~consumed:!consumed ~used:(Stream.count stream) ~mean ~sd
-    with
-    | Continue -> ()
-    | Stop reason -> stopped := Some reason
-  done;
-  let used = Stream.count stream in
-  let mean = if used = 0 then Float.nan else Stream.mean stream in
-  let sd = Stream.stddev stream in
-  {
-    consumed = !consumed;
-    used;
-    mean;
-    sd;
-    half_width = half_width ~level:config.level ~count:used ~sd;
-    reason = Option.get !stopped;
-    batches = !batches;
-  }
-
 type cv = {
   beta : float;
   adjusted : float array;

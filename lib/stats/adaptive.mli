@@ -3,10 +3,10 @@
     tight enough, instead of brute-forcing a fixed replicate count.
 
     This module is pure statistics — it never runs a simulation.  The
-    simulation wiring ({!Rumor_sim.Run.async_spread_sweep_adaptive})
-    owns the replicate streams and feeds sample values through the
-    chunk driver below; keeping the policy here means the serve layer,
-    the CLI and the tests all share one stopping rule.
+    simulation wiring ({!Rumor_sim.Run.async_spread_sweep_adaptive},
+    the one chunk driver) owns the replicate streams and asks
+    {!decide} at every chunk boundary; keeping the policy here means
+    the serve layer, the CLI and the tests all share one stopping rule.
 
     {b Stopping rule.}  After each chunk the driver computes the
     normal-approximation CI half-width [z(level) * sd / sqrt(used)]
@@ -70,25 +70,6 @@ val decide :
     consume budget but carry no value).  Pure — this is the function
     whose inputs-in-index-order make adaptive runs schedule
     independent. *)
-
-type result = {
-  consumed : int;  (** replicates run (the decided prefix length) *)
-  used : int;  (** samples that entered the estimator *)
-  mean : float;  (** nan when [used = 0] *)
-  sd : float;  (** nan when [used < 2] *)
-  half_width : float;  (** at the stopping point; [infinity] if unusable *)
-  reason : reason;
-  batches : int;  (** chunks executed *)
-}
-
-val run :
-  config -> sample:(lo:int -> hi:int -> float option array) -> result
-(** Generic chunk driver: requests replicate values for index ranges
-    [[lo, hi)] ([hi - lo <= chunk], clamped at the budget), feeds the
-    [Some] values into the running moments in index order, and applies
-    {!decide} after each chunk.  [None] entries are censored/failed
-    replicates.  The sampler must be index-deterministic for the
-    prefix contract to mean anything. *)
 
 (** {1 Control variates}
 

@@ -101,41 +101,48 @@ let test_decide () =
     (Adaptive.decide c ~consumed:32 ~used:0 ~mean:nan ~sd:nan
      = Adaptive.Stop Adaptive.Budget)
 
-(* --- the generic chunk driver --- *)
+(* --- the chunk driver: Run.async_spread_sweep_adaptive --- *)
 
 let test_run_driver () =
-  (* A constant sampler converges at the first post-min_reps boundary. *)
+  (* On the clique the control-variate-adjusted sample is constant, so
+     the sweep converges at the first boundary past min_reps. *)
   let c =
     Adaptive.config ~min_reps:8 ~max_reps:100 ~chunk:8 (Adaptive.Abs 0.1)
   in
-  let calls = ref [] in
   let r =
-    Adaptive.run c ~sample:(fun ~lo ~hi ->
-        calls := (lo, hi) :: !calls;
-        Array.init (hi - lo) (fun _ -> Some 5.))
+    Run.async_spread_sweep_adaptive ~control:(Gen.clique 32) ~config:c
+      (Rng.create 3) (Dynet.of_static (Gen.clique 32))
   in
-  check int "consumed one chunk" 8 r.Adaptive.consumed;
-  check int "one batch" 1 r.Adaptive.batches;
-  check bool "converged" true (r.Adaptive.reason = Adaptive.Converged);
-  check flt "mean" 5. r.Adaptive.mean;
-  check flt "half-width 0" 0. r.Adaptive.half_width;
-  check bool "ranges are contiguous chunks" true (!calls = [ (0, 8) ]);
-  (* All-censored: every chunk runs, used stays 0, reason is Budget. *)
+  check int "consumed one chunk" 8 r.Run.consumed;
+  check int "one batch" 1 r.Run.batches;
+  check bool "converged" true (r.Run.reason = Adaptive.Converged);
+  check (near 1e-9) "mean" (Limit_laws.clique_mean 32) r.Run.mean;
+  check (near 1e-9) "half-width 0" 0. r.Run.half_width;
+  check int "decided prefix is one chunk" 8
+    (Array.length r.Run.sweep.Run.outcomes);
+  (* All-censored: every chunk runs, used stays 0, reason is Budget;
+     the chunk hook sees contiguous prefixes. *)
+  let prefixes = ref [] in
   let r2 =
-    Adaptive.run
-      (Adaptive.config ~min_reps:4 ~max_reps:12 ~chunk:4 (Adaptive.Abs 0.1))
-      ~sample:(fun ~lo ~hi -> Array.make (hi - lo) None)
+    Run.async_spread_sweep_adaptive ~horizon:2.
+      ~on_chunk:(fun s -> prefixes := Array.length s.Run.outcomes :: !prefixes)
+      ~config:
+        (Adaptive.config ~min_reps:4 ~max_reps:12 ~chunk:4 (Adaptive.Abs 0.1))
+      (Rng.create 9)
+      (Dynet.of_static (Graph.of_edges 4 [ (0, 1) ]))
   in
-  check int "all-censored consumes the budget" 12 r2.Adaptive.consumed;
-  check int "no usable sample" 0 r2.Adaptive.used;
-  check bool "budget reason" true (r2.Adaptive.reason = Adaptive.Budget);
-  check bool "nan mean" true (Float.is_nan r2.Adaptive.mean)
+  check int "all-censored consumes the budget" 12 r2.Run.consumed;
+  check int "no usable sample" 0 r2.Run.used;
+  check bool "budget reason" true (r2.Run.reason = Adaptive.Budget);
+  check bool "nan mean" true (Float.is_nan r2.Run.mean);
+  check bool "prefixes grow chunk by chunk" true (List.rev !prefixes = [ 4; 8 ])
 
 let test_run_driver_never_wider_than_target () =
-  (* Deterministic pseudo-random sampler: whenever the driver reports
-     Converged, the half-width it reports must be at or below the
-     resolved target. *)
+  (* Random widths, budgets and cadences on a small clique: whenever
+     the sweep reports Converged, the half-width it reports must be at
+     or below the target; otherwise it spent exactly the budget. *)
   let rng = Rng.create 4242 in
+  let net = Dynet.of_static (Gen.clique 16) in
   for trial = 1 to 50 do
     let width = 0.05 +. Rng.float rng in
     let c =
@@ -144,25 +151,24 @@ let test_run_driver_never_wider_than_target () =
         ~chunk:(4 + Rng.int rng 12)
         (Adaptive.Abs width)
     in
-    let vals = Rng.create (trial * 7919) in
     let r =
-      Adaptive.run c ~sample:(fun ~lo ~hi ->
-          Array.init (hi - lo) (fun _ -> Some (10. +. Rng.float vals)))
+      Run.async_spread_sweep_adaptive ~jobs:1 ~config:c
+        (Rng.create (trial * 7919)) net
     in
-    (match r.Adaptive.reason with
+    (match r.Run.reason with
     | Adaptive.Converged ->
       check bool
         (Printf.sprintf "trial %d: hw %.4f <= target %.4f" trial
-           r.Adaptive.half_width width)
+           r.Run.half_width width)
         true
-        (r.Adaptive.half_width <= width)
+        (r.Run.half_width <= width)
     | Adaptive.Budget ->
       check int
         (Printf.sprintf "trial %d: budget exhausted" trial)
-        c.Adaptive.max_reps r.Adaptive.consumed);
+        c.Adaptive.max_reps r.Run.consumed);
     check bool "consumed within budget" true
-      (r.Adaptive.consumed <= c.Adaptive.max_reps
-      && r.Adaptive.consumed >= min c.Adaptive.min_reps c.Adaptive.max_reps)
+      (r.Run.consumed <= c.Adaptive.max_reps
+      && r.Run.consumed >= min c.Adaptive.min_reps c.Adaptive.max_reps)
   done
 
 (* --- control variates --- *)

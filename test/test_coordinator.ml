@@ -95,20 +95,7 @@ let test_proto_roundtrip () =
             err = Some "oops\nwith a newline"; transient = true; data = None;
           }));
   check bool "unknown k rejected" true
-    (Proto.of_json (Obs.Json.Obj [ ("k", Obs.Json.String "nope") ]) = None);
-  (* A proto-1 hello must render without the v2 fields, so an old
-     coordinator still parses it. *)
-  (match
-     Proto.to_json
-       (Proto.Hello
-          { worker = 3; pid = 42; proto = 1; token = None; crc = false })
-   with
-  | Obs.Json.Obj fields ->
-    check bool "legacy hello has no v2 fields" true
-      (not (List.mem_assoc "v" fields)
-      && not (List.mem_assoc "tok" fields)
-      && not (List.mem_assoc "crc" fields))
-  | _ -> check bool "legacy hello is an object" true false)
+    (Proto.of_json (Obs.Json.Obj [ ("k", Obs.Json.String "nope") ]) = None)
 
 (* Frames survive a socketpair in arbitrarily small reads, newlines in
    payload strings included (the framing is length-prefixed, not
@@ -662,12 +649,14 @@ let test_coordinator_zombie_is_fenced () =
                  (Proto.to_json
                     (Proto.Hello
                        {
-                         worker = slot; pid = Unix.getpid (); proto = 1;
-                         token = None; crc = false;
+                         worker = slot; pid = Unix.getpid ();
+                         proto = Proto.version; token = None; crc = false;
                        }));
                let reader = Proto.reader () in
-               (match Option.bind (Proto.recv fd reader) Proto.of_json with
-               | Some (Proto.Grant { lease; epoch; tasks = task :: _ }) ->
+               let recv () = Option.bind (Proto.recv fd reader) Proto.of_json in
+               (match (recv (), recv ()) with
+               | ( Some (Proto.Welcome _),
+                   Some (Proto.Grant { lease; epoch; tasks = task :: _ }) ) ->
                  (* Outlive the declared death, then submit with the
                     (by now reclaimed) lease stamp. *)
                  Unix.sleepf 0.9;
@@ -1077,6 +1066,283 @@ let test_tcp_bad_token_rejected () =
              |> function Campaign.Done _ -> true | _ -> false))
         tasks)
 
+(* --- forked workers speak the same protocol ---
+
+   Admission, resume and lease stamps on the Unix socket. *)
+
+(* A hello that is not a protocol-2 hello of this campaign is refused
+   at the door with a terminal Reject: one without [v], one with
+   [v] = 1, and a well-formed one naming the local slot with a pid
+   that is not that slot's process (what an orphan of an earlier
+   coordinator would send after --resume).  A prober process sends
+   all three; the real worker finishes the campaign undisturbed. *)
+let test_coordinator_admission_rejects () =
+  with_temp_dir (fun dir ->
+      let config = quick_config ~dir ~workers:1 in
+      let prober = ref None in
+      let spawn ~slot ~socket =
+        let worker =
+          fork_spawn ~tasks_dir:(Coordinator.tasks_dir config)
+            ~run_task:(fun task ->
+              Unix.sleepf 0.1;
+              print_task task)
+            () ~slot ~socket
+        in
+        (if !prober = None then begin
+           flush stdout;
+           flush stderr;
+           match Unix.fork () with
+           | 0 ->
+             let rejected hello =
+               try
+                 let fd =
+                   Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+                 in
+                 Unix.connect fd (Unix.ADDR_UNIX socket);
+                 Proto.send fd hello;
+                 let reply =
+                   Proto.recv ~deadline:(Obs.Clock.now_s () +. 5.) fd
+                     (Proto.reader ())
+                 in
+                 Unix.close fd;
+                 match Option.bind reply Proto.of_json with
+                 | Some (Proto.Reject _) -> true
+                 | _ -> false
+               with _ -> false
+             in
+             let hello fields =
+               Obs.Json.Obj
+                 ([ ("k", Obs.Json.String "hello"); ("w", Obs.Json.Int slot);
+                    ("pid", Obs.Json.Int (Unix.getpid ())) ]
+                 @ fields)
+             in
+             let ok =
+               rejected (hello [])
+               && rejected
+                    (hello
+                       [ ("v", Obs.Json.Int 1); ("crc", Obs.Json.Bool false) ])
+               && rejected
+                    (Proto.to_json
+                       (Proto.Hello
+                          {
+                            worker = slot; pid = Unix.getpid ();
+                            proto = Proto.version; token = None; crc = true;
+                          }))
+             in
+             Unix._exit (if ok then 0 else 1)
+           | pid -> prober := Some pid
+         end);
+        worker
+      in
+      let summary = Coordinator.run ~spawn config [ "a"; "b"; "c" ] in
+      let prober_code =
+        match !prober with
+        | Some pid -> (
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED c -> c
+          | _ -> -1)
+        | None -> -1
+      in
+      check int "campaign clean" 0 (Coordinator.exit_code summary);
+      check int "all three hellos got a Reject" 0 prober_code;
+      check int "rejections counted" 3 summary.Coordinator.rejected;
+      check bool "no worker death misattributed" true
+        (summary.Coordinator.worker_deaths = 0))
+
+(* An in-test Unix-socket relay between forked workers and the
+   coordinator.  It forwards whole frames both ways and asks [fault]
+   about each one: pass it, drop it (a whole frame vanishing, as
+   through a broken middlebox), or pass it and then cut the
+   connection.  The first frame each way (hello, welcome) is plain;
+   every later one carries the CRC trailer both sides negotiate.  The
+   relay lives in a forked process so this test binary stays free of
+   extra domains. *)
+let fork_relay ~listen_path ~target fault =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX listen_path);
+  Unix.listen lfd 8;
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let buf = Bytes.create 65536 in
+       (* worker side, coordinator side, and one reader per direction *)
+       let pairs = ref [] in
+       let close_pair (a, b, _, _) =
+         (try Unix.close a with Unix.Unix_error _ -> ());
+         (try Unix.close b with Unix.Unix_error _ -> ());
+         pairs := List.filter (fun (a', _, _, _) -> a' <> a) !pairs
+       in
+       while true do
+         let fds =
+           lfd :: List.concat_map (fun (a, b, _, _) -> [ a; b ]) !pairs
+         in
+         let ready, _, _ = Unix.select fds [] [] (-1.) in
+         List.iter
+           (fun fd ->
+             if fd = lfd then begin
+               let a, _ = Unix.accept ~cloexec:true lfd in
+               let b =
+                 Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+               in
+               Unix.connect b (Unix.ADDR_UNIX target);
+               pairs := (a, b, Proto.reader (), Proto.reader ()) :: !pairs
+             end
+             else
+               match
+                 List.find_opt (fun (a, b, _, _) -> fd = a || fd = b) !pairs
+               with
+               | None -> ()
+               | Some ((a, b, up, down) as pair) -> (
+                 match Unix.read fd buf 0 (Bytes.length buf) with
+                 | 0 | (exception Unix.Unix_error _) -> close_pair pair
+                 | n ->
+                   let dir, reader, dst =
+                     if fd = a then (`Up, up, b) else (`Down, down, a)
+                   in
+                   Proto.feed reader buf n;
+                   let rec pump () =
+                     match Proto.next reader with
+                     | None -> ()
+                     | Some j -> (
+                       let crc = Proto.crc_enabled reader in
+                       Proto.set_crc reader true;
+                       match fault dir (Proto.of_json j) with
+                       | `Pass ->
+                         Proto.send ~crc dst j;
+                         pump ()
+                       | `Drop -> pump ()
+                       | `Cut ->
+                         Proto.send ~crc dst j;
+                         close_pair pair)
+                   in
+                   pump ()))
+           ready
+       done
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close lfd;
+    pid
+
+(* A one-worker campaign whose worker reaches the coordinator through
+   [fork_relay] with [fault].  Heartbeats keep flowing whatever frames
+   are lost, so a recovery bug would hang rather than time out: an
+   alarm turns that into a failure. *)
+let run_relayed_campaign ~dir ~tasks fault =
+  let config = quick_config ~dir ~workers:1 in
+  let relay = ref None in
+  let relay_path = Filename.concat dir "relay.sock" in
+  let spawn ~slot ~socket =
+    if !relay = None then
+      relay := Some (fork_relay ~listen_path:relay_path ~target:socket fault);
+    fork_spawn ~tasks_dir:(Coordinator.tasks_dir config) ~run_task:slow_task
+      () ~slot ~socket:relay_path
+  in
+  let previous =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> failwith "relayed campaign hung"))
+  in
+  ignore (Unix.alarm 60);
+  let summary =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Unix.alarm 0);
+        Sys.set_signal Sys.sigalrm previous;
+        Option.iter stop_proxy !relay)
+      (fun () -> Coordinator.run ~spawn config tasks)
+  in
+  (summary, config)
+
+(* A forked worker whose Unix-socket connection is cut mid-batch
+   (right after its first grant) resumes its slot: no death, no
+   respawn, a counted reconnect, and outputs byte-identical to a
+   single-worker run. *)
+let test_coordinator_unix_cut_resumes () =
+  let tasks = [ "a"; "b"; "c"; "d"; "e" ] in
+  with_temp_dir (fun ref_dir ->
+      with_temp_dir (fun dir ->
+          let _, ref_config = run_campaign ~dir:ref_dir ~workers:1 ~tasks () in
+          let cut = ref false in
+          let summary, config =
+            run_relayed_campaign ~dir ~tasks (fun dir msg ->
+                match (dir, msg) with
+                | `Down, Some (Proto.Grant _) when not !cut ->
+                  cut := true;
+                  `Cut
+                | _ -> `Pass)
+          in
+          check int "campaign clean" 0 (Coordinator.exit_code summary);
+          check int "no worker death" 0 summary.Coordinator.worker_deaths;
+          check int "no respawn" 0 summary.Coordinator.worker_restarts;
+          check bool "the slot resumed" true
+            (summary.Coordinator.remote_reconnects >= 1);
+          check bool "outputs byte-identical across the cut" true
+            (outputs ref_config tasks = outputs config tasks)))
+
+(* A grant and a result that vanish whole, without breaking the
+   stream: the worker's idle heartbeats show the coordinator that
+   work is missing, the lease is regranted, and the campaign ends
+   clean and byte-identical without a death or a reconnect. *)
+let test_coordinator_lost_frames_regranted () =
+  let tasks = [ "a"; "b"; "c" ] in
+  with_temp_dir (fun ref_dir ->
+      with_temp_dir (fun dir ->
+          let _, ref_config = run_campaign ~dir:ref_dir ~workers:1 ~tasks () in
+          let grant_lost = ref false and result_lost = ref false in
+          let summary, config =
+            run_relayed_campaign ~dir ~tasks (fun dir msg ->
+                match (dir, msg) with
+                | `Down, Some (Proto.Grant _) when not !grant_lost ->
+                  grant_lost := true;
+                  `Drop
+                | `Up, Some (Proto.Result _) when not !result_lost ->
+                  result_lost := true;
+                  `Drop
+                | _ -> `Pass)
+          in
+          check int "campaign clean" 0 (Coordinator.exit_code summary);
+          check int "no worker death" 0 summary.Coordinator.worker_deaths;
+          check int "no reconnect" 0 summary.Coordinator.remote_reconnects;
+          check bool "outputs byte-identical despite the lost frames" true
+            (outputs ref_config tasks = outputs config tasks)))
+
+(* Lease stamps stay unique across --resume.  The journal holds a
+   grant of lease 1 at epoch 1 and its reclaim.  The first resume must
+   stamp its grant above both, or the second resume, replaying lease
+   1's reclaim, distrusts a task that finished correctly and runs it
+   again. *)
+let test_coordinator_resume_stamps_unique () =
+  with_temp_dir (fun dir ->
+      let config =
+        { (quick_config ~dir ~workers:1) with Coordinator.resume = true }
+      in
+      Unix.mkdir (Coordinator.tasks_dir config) 0o755;
+      let wal = Wal.open_ ~fsync:false (Coordinator.wal_path config) in
+      let j fields = Obs.Json.Obj fields in
+      let s v = Obs.Json.String v and i v = Obs.Json.Int v in
+      List.iter (Wal.append wal)
+        [
+          j [ ("k", s "lease"); ("ev", s "grant"); ("lease", i 1);
+              ("ep", i 1); ("w", i 0); ("tasks", Obs.Json.List [ s "a" ]) ];
+          j [ ("k", s "lease"); ("ev", s "reclaim"); ("lease", i 1);
+              ("ep", i 2); ("w", i 0) ];
+        ];
+      Wal.close wal;
+      let spawn =
+        fork_spawn ~tasks_dir:(Coordinator.tasks_dir config)
+          ~run_task:print_task ()
+      in
+      let first = Coordinator.run ~spawn config [ "a" ] in
+      check bool "first resume runs a" true
+        (List.assoc "a" first.Coordinator.outcomes
+         |> function Campaign.Done _ -> true | _ -> false);
+      let second = Coordinator.run ~spawn config [ "a" ] in
+      check int "second resume serves a from the journal" 1
+        second.Coordinator.cached;
+      check int "nothing fenced at replay" 0 second.Coordinator.replay_fenced)
+
 (* Reconnect backoff: pure function of (seed, attempt), exponential
    up to the 3 s cap, jittered into [0.5, 1.5) of the base — so it is
    reproducible per worker yet staggered across a fleet. *)
@@ -1145,6 +1411,14 @@ let () =
             test_coordinator_replay_fencing;
           Alcotest.test_case "missing output re-runs despite journal" `Quick
             test_coordinator_replay_missing_output_reruns;
+          Alcotest.test_case "bad hellos rejected at admission" `Quick
+            test_coordinator_admission_rejects;
+          Alcotest.test_case "cut Unix socket: slot resumes, identical" `Quick
+            test_coordinator_unix_cut_resumes;
+          Alcotest.test_case "lost grant and result regranted" `Quick
+            test_coordinator_lost_frames_regranted;
+          Alcotest.test_case "lease stamps unique across resumes" `Quick
+            test_coordinator_resume_stamps_unique;
         ] );
       ( "tcp",
         [

@@ -550,8 +550,8 @@ let test_serve_adaptive_matches_offline () =
           ~rate:q.Query.rate ~faults:(Query.fault_plan q)
           ~config:
             (Adaptive.config ~level:q.Query.ci_level
-               ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps ~chunk
-               (Adaptive.Abs w))
+               ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps
+               ~chunk:Query.ci_cadence (Adaptive.Abs w))
           (Rng.create q.Query.seed)
           (Family.build (Query.family_params q))
       in
@@ -572,6 +572,46 @@ let test_serve_adaptive_matches_offline () =
             (jint "reps" j < q.Query.reps);
           check bool "same quantile bits" true (hex_quantiles j = expected);
           Unix.close c.fd))
+
+(* One key, one answer: a served [ci_width] result must not depend on
+   the server's [chunk].  For every chunk and seed, the served
+   stopping point and quantile bits equal one offline [Query.sweep]
+   run without a chunk. *)
+let test_serve_adaptive_ignores_chunk () =
+  List.iter
+    (fun seed ->
+      let q = { (q32 ~reps:64 ~seed ()) with Query.ci_width = Some 0.3 } in
+      let offline = Query.sweep ~jobs:1 q in
+      let expected =
+        Array.to_list (Run.quantiles_of_sweep offline q.Query.points)
+        |> List.map (Printf.sprintf "%h")
+      in
+      List.iter
+        (fun chunk ->
+          let dir = tmpdir () in
+          Fun.protect
+            ~finally:(fun () -> rm_rf dir)
+            (fun () ->
+              let config =
+                {
+                  (Server.default_config ~dir) with
+                  Server.fsync = false;
+                  chunk;
+                }
+              in
+              with_server config (fun _t port ->
+                  let c = connect port in
+                  send_query c q;
+                  let j = recv_json c in
+                  let what = Printf.sprintf "seed %d chunk %d" seed chunk in
+                  check str (what ^ ": a result") "result" (jstr "k" j);
+                  check int (what ^ ": same stopping point")
+                    (Array.length offline.Run.outcomes) (jint "reps" j);
+                  check bool (what ^ ": same quantile bits") true
+                    (hex_quantiles j = expected);
+                  Unix.close c.fd)))
+        [ 1; 4; 8; 16; 32 ])
+    [ 5150; 1 ]
 
 (* The warm-cache gate: a cache hit must answer at least 100x faster
    than the cold compute of the same query (clique-256, 32 replicates),
@@ -641,6 +681,8 @@ let () =
             test_serve_preseeded_checkpoint;
           Alcotest.test_case "adaptive query = offline adaptive sweep" `Quick
             test_serve_adaptive_matches_offline;
+          Alcotest.test_case "adaptive answer independent of server chunk"
+            `Quick test_serve_adaptive_ignores_chunk;
           Alcotest.test_case "warm hit >= 100x cold" `Quick
             test_serve_warm_hit_speedup;
         ] );
