@@ -17,9 +17,6 @@
 open Rumor_rng
 open Rumor_dynamic
 
-val c0 : float
-(** [1/2 - 1/e], the constant of Lemma 2.2 / Lemma 3.1. *)
-
 val big_c : c:float -> float
 (** [C = (10 c + 20) / c0] of Theorem 1.1.
     @raise Invalid_argument if [c < 1] (the theorem's regime). *)

@@ -27,7 +27,3 @@ val bound : ?c:float -> ?steps:int -> Rng.t -> Dynet.t -> result
     the bound with constant [c] (default 1).  Isolated nodes make
     [M(G)] infinite (their [delta_u] is 0), matching the bound's
     connectivity requirement. *)
-
-val m_factor_of_degrees : mins:int array -> maxs:int array -> float
-(** [max_u maxs(u) / mins(u)]; infinite if some [mins(u) = 0].
-    Exposed for tests. *)

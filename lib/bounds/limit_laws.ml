@@ -1,6 +1,3 @@
-module Rng = Rumor_rng.Rng
-module Dist = Rumor_rng.Dist
-
 let harmonic n =
   let acc = ref 0. in
   for k = 1 to n do
@@ -8,40 +5,7 @@ let harmonic n =
   done;
   !acc
 
-let clique_rate ~n ~informed =
-  if informed <= 0 || informed >= n then
-    invalid_arg "Limit_laws.clique_rate: informed outside (0, n)";
-  let k = float_of_int informed and nf = float_of_int n in
-  2. *. k *. (nf -. k) /. (nf -. 1.)
-
 let clique_mean n =
   if n < 1 then invalid_arg "Limit_laws.clique_mean: n < 1";
   if n = 1 then 0.
   else float_of_int (n - 1) *. harmonic (n - 1) /. float_of_int n
-
-let clique_sample rng n =
-  if n < 1 then invalid_arg "Limit_laws.clique_sample: n < 1";
-  let t = ref 0. in
-  for k = 1 to n - 1 do
-    t := !t +. Dist.exponential rng ~rate:(clique_rate ~n ~informed:k)
-  done;
-  !t
-
-let clique_samples rng ~n ~reps = Array.init reps (fun _ -> clique_sample rng n)
-
-let star_center_rate ~n ~uninformed_leaves =
-  if uninformed_leaves <= 0 || uninformed_leaves >= n then
-    invalid_arg "Limit_laws.star_center_rate: uninformed_leaves outside (0, n)";
-  let m = float_of_int uninformed_leaves and nf = float_of_int n in
-  m *. nf /. (nf -. 1.)
-
-let star_center_mean n =
-  if n < 1 then invalid_arg "Limit_laws.star_center_mean: n < 1";
-  if n = 1 then 0.
-  else float_of_int (n - 1) *. harmonic (n - 1) /. float_of_int n
-
-let gnp_limit_mean n = clique_mean n
-
-let worst_case_lower n = log (float_of_int (max 2 n)) /. 4.
-
-let worst_case_upper n = 4. *. float_of_int (max 1 n)

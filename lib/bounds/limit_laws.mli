@@ -1,71 +1,15 @@
-(** Exact spread-time laws for the constructed families — the closed
-    forms behind the adaptive engine's control variates and the
-    conformance gates.
+(** The exact mean spread time of asynchronous push–pull on the
+    complete graph — the closed form that the benchmark's clique gate
+    checks the simulators against.
 
-    On the complete graph [K_n], asynchronous push–pull (unit-rate
-    clocks, uniform neighbour choice) is a pure-jump Markov chain in
-    the informed-set size: with [k] informed the time to the next
-    informing event is exactly [Exp(2 k (n-k) / (n-1))], because each
-    of the [k (n-k)] informed/uninformed pairs fires an informing call
-    at rate [1/(n-1) + 1/(n-1)].  Summing expectations gives the exact
-    mean [(n-1) H_{n-1} / n], and sampling the chain gives the exact
-    spread-time law with no graph simulation at all.
-
-    Panagiotou–Speidel (PAPERS.md) prove that on dense [G(n,p)]
-    ([n p >> log n]) the push–pull spread time is asymptotically
-    independent of [p] and converges to the complete-graph law — the
-    per-edge rate [1/deg] cancels the edge count.  That makes
-    {!clique_sample} the reference distribution for the G(n,p)
-    conformance gate in [test_conformance.ml].
-
-    Acan, Collevecchio, Mehrabian and Wormald give universal bounds
-    for any connected [n]-vertex graph: spread time [Omega(log n)] and
-    [O(n)] with high probability.  {!worst_case_lower} and
-    {!worst_case_upper} expose deliberately slack constants usable as
-    test pins at moderate [n]. *)
-
-val harmonic : int -> float
-(** [harmonic n] is [H_n = sum_{k=1}^{n} 1/k]; [0.] for [n <= 0]. *)
-
-val clique_rate : n:int -> informed:int -> float
-(** Total informing rate of async push–pull on [K_n] with [informed]
-    vertices already informed: [2 k (n-k) / (n-1)].  Matches the
-    engine's Fenwick total exactly (see [Async_cut.pair_rate]).
-    @raise Invalid_argument unless [0 < informed < n]. *)
+    On [K_n], asynchronous push–pull (unit-rate clocks, uniform
+    neighbour choice) is a pure-jump Markov chain in the informed-set
+    size: with [k] informed the time to the next informing event is
+    exactly [Exp(2 k (n-k) / (n-1))], because each of the [k (n-k)]
+    informed/uninformed pairs fires an informing call at rate
+    [1/(n-1) + 1/(n-1)].  Summing expectations gives the exact mean
+    [(n-1) H_{n-1} / n]. *)
 
 val clique_mean : int -> float
 (** Exact expected spread time on [K_n]: [(n-1) H_{n-1} / n].
     @raise Invalid_argument if [n < 1]. *)
-
-val clique_sample : Rumor_rng.Rng.t -> int -> float
-(** One exact draw of the [K_n] spread-time law: the sum of
-    independent [Exp(clique_rate k)] jumps for [k = 1 .. n-1].
-    @raise Invalid_argument if [n < 1]. *)
-
-val clique_samples : Rumor_rng.Rng.t -> n:int -> reps:int -> float array
-(** [reps] independent draws of {!clique_sample}. *)
-
-val star_center_rate : n:int -> uninformed_leaves:int -> float
-(** Informing rate on the [n]-vertex star when the rumor starts at the
-    centre and [m] leaves remain uninformed: [m (1/(n-1) + 1) = m n / (n-1)]
-    (centre pushes at [1/(n-1)] per leaf, each leaf pulls at rate 1).
-    @raise Invalid_argument unless [0 < uninformed_leaves < n]. *)
-
-val star_center_mean : int -> float
-(** Exact expected spread time on the star from its centre:
-    [(n-1) H_{n-1} / n] — coincidentally the same closed form as
-    {!clique_mean}. @raise Invalid_argument if [n < 1]. *)
-
-val gnp_limit_mean : int -> float
-(** The Panagiotou–Speidel limit mean for dense [G(n,p)]: equals
-    {!clique_mean} — the law is asymptotically independent of [p]. *)
-
-val worst_case_lower : int -> float
-(** Conservative Acan-et-al. lower pin for any connected graph:
-    [ln n / 4].  Holds with large margin for mean spread times at the
-    sizes the tests use. *)
-
-val worst_case_upper : int -> float
-(** Conservative Acan-et-al. upper pin for any connected graph:
-    [4 n].  Push–pull on an [n]-path — the extremal case — has mean
-    spread time [~n/2], far inside this. *)

@@ -2,11 +2,17 @@
 
     Downstream users depend on [rumor_core] and write
     [Rumor.Gen.clique 64], [Rumor.Async_cut.run ...], etc.  Each alias
-    below points at the module whose interface documents it. *)
+    below points at the module whose interface documents it.
+
+    Every module here is on a path that the CLI, the experiments, the
+    server, the campaign harness, the benchmark or the examples run.
+    Reference code that only the tests use (the dense eigensolver, the
+    KS test, the exact clique chain, naive cut and BFS oracles, input
+    fixtures) lives under [test/], and [tools/dead_exports.py] keeps it
+    that way. *)
 
 (* Utility substrate *)
 module Bitset = Rumor_util.Bitset
-module Heap = Rumor_util.Heap
 module Fenwick = Rumor_util.Fenwick
 module Table = Rumor_util.Table
 module Ascii_plot = Rumor_util.Ascii_plot
@@ -24,11 +30,9 @@ module Xoshiro256 = Rumor_rng.Xoshiro256
 (* Statistics *)
 module Descriptive = Rumor_stats.Descriptive
 module Quantile = Rumor_stats.Quantile
-module Histogram = Rumor_stats.Histogram
 module Regression = Rumor_stats.Regression
 module Bootstrap = Rumor_stats.Bootstrap
 module Summary = Rumor_stats.Summary
-module Ks = Rumor_stats.Ks
 module Stream = Rumor_stats.Stream
 module Adaptive = Rumor_stats.Adaptive
 
@@ -36,9 +40,7 @@ module Adaptive = Rumor_stats.Adaptive
 module Graph = Rumor_graph.Graph
 module Builder = Rumor_graph.Builder
 module Gen = Rumor_graph.Gen
-module Degree_seq = Rumor_graph.Degree_seq
 module Traverse = Rumor_graph.Traverse
-module Unionfind = Rumor_graph.Unionfind
 module Cut = Rumor_graph.Cut
 module Metrics = Rumor_graph.Metrics
 module Spectral = Rumor_graph.Spectral
@@ -109,6 +111,3 @@ module Trace = Rumor_sim.Trace
 module Export = Rumor_graph.Export
 module Coupling = Rumor_sim.Coupling
 module Estimate = Rumor_sim.Estimate
-module Eigen = Rumor_graph.Eigen
-module Walk = Rumor_sim.Walk
-module Graph6 = Rumor_graph.Graph6

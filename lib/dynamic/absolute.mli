@@ -25,14 +25,3 @@ val spread_lower_bound : n:int -> rho:float -> float
 (** The Theorem 1.5 lower bound evaluated with its explicit constant:
     [n0 * Delta / 4] where [n0 = n / (10 + 10 mu)] with [mu = Theta(1)]
     taken as 1 — i.e. [n * Delta / 80]. *)
-
-(**/**)
-
-val regular_except_one_fast : ids:int array -> delta:int -> (int * int) list
-(** Deterministic O(|ids|) edge list of a connected graph over the
-    given node ids in which [ids.(0)] has degree [delta] (even) and
-    every other node degree 4: a circulant ring with distance-2 chords
-    on [ids.(1..)], [delta/2] spaced ring edges removed and both
-    endpoints of each rewired to [ids.(0)].
-    @raise Invalid_argument if [delta] is odd, [delta < 2], or
-    [|ids| < 2*delta + 6]. *)

@@ -67,185 +67,3 @@ let with_edge_dropout ~p (base : Dynet.t) =
               g;
             Dynet.info_of_graph ~changed:true (Builder.freeze b)))
   }
-
-let with_node_outage ~p (base : Dynet.t) =
-  if p < 0. || p > 1. then
-    invalid_arg "Combinators.with_node_outage: p outside [0, 1]";
-  {
-    Dynet.n = base.Dynet.n;
-    name = Printf.sprintf "node-outage(%.2g, %s)" p base.Dynet.name;
-    source_hint = base.Dynet.source_hint;
-    spawn =
-      (fun rng ->
-        let inner = base.Dynet.spawn rng in
-        let offline = Array.make base.Dynet.n false in
-        Dynet.make_instance (fun ~step:_ ~informed ->
-            let info = Dynet.next inner ~informed in
-            let g = info.Dynet.graph in
-            for u = 0 to Graph.n g - 1 do
-              offline.(u) <- Rng.bernoulli rng p
-            done;
-            let b = Builder.create (Graph.n g) in
-            Graph.iter_edges
-              (fun u v ->
-                if (not offline.(u)) && not offline.(v) then
-                  Builder.add_edge_exn b u v)
-              g;
-            Dynet.info_of_graph ~changed:true (Builder.freeze b)))
-  }
-
-let with_churn ~crash ~recover (base : Dynet.t) =
-  if crash < 0. || crash > 1. then
-    invalid_arg "Combinators.with_churn: crash outside [0, 1]";
-  if recover < 0. || recover > 1. then
-    invalid_arg "Combinators.with_churn: recover outside [0, 1]";
-  let n = base.Dynet.n in
-  {
-    Dynet.n;
-    name = Printf.sprintf "churn(%.2g, %.2g, %s)" crash recover base.Dynet.name;
-    source_hint = base.Dynet.source_hint;
-    spawn =
-      (fun rng ->
-        let inner = base.Dynet.spawn rng in
-        (* Persistent per-node crash/recovery Markov chain (unlike
-           with_node_outage's memoryless resampling): everyone starts
-           online, each step boundary flips each node with its
-           transition probability.  A crashed node keeps its rumor but
-           loses every edge, so it neither spreads nor receives. *)
-        let offline = Array.make n false in
-        Dynet.make_instance (fun ~step ~informed ->
-            let info = Dynet.next inner ~informed in
-            if step > 0 then
-              for u = 0 to n - 1 do
-                if offline.(u) then begin
-                  if Rng.bernoulli rng recover then offline.(u) <- false
-                end
-                else if Rng.bernoulli rng crash then offline.(u) <- true
-              done;
-            let g = info.Dynet.graph in
-            let b = Builder.create (Graph.n g) in
-            Graph.iter_edges
-              (fun u v ->
-                if (not offline.(u)) && not offline.(v) then
-                  Builder.add_edge_exn b u v)
-              g;
-            Dynet.info_of_graph ~changed:true (Builder.freeze b)))
-  }
-
-let with_partition ~from_step ~until_step ~side (base : Dynet.t) =
-  if until_step <= from_step then
-    invalid_arg "Combinators.with_partition: empty window";
-  {
-    Dynet.n = base.Dynet.n;
-    name =
-      Printf.sprintf "partition([%d, %d), %s)" from_step until_step
-        base.Dynet.name;
-    source_hint = base.Dynet.source_hint;
-    spawn =
-      (fun rng ->
-        let inner = base.Dynet.spawn rng in
-        let prev_exposed = ref None in
-        (* Describe [g] relative to the previously exposed graph: an
-           exact diff-based delta (capped: past half the edge count a
-           rebuild is cheaper), and an honest [changed] flag. *)
-        let describe base_info g =
-          let out =
-            match !prev_exposed with
-            | None -> { base_info with Dynet.graph = g; changed = true; delta = None }
-            | Some p ->
-              let added, removed = Graph.diff p g in
-              if Array.length added = 0 && Array.length removed = 0 then
-                { base_info with Dynet.graph = p; changed = false; delta = None }
-              else begin
-                let d = Dynet.make_delta ~added ~removed in
-                let delta =
-                  if Dynet.delta_size d > 1 + (Graph.m g / 2) then None
-                  else Some d
-                in
-                { base_info with Dynet.graph = g; changed = true; delta }
-              end
-          in
-          prev_exposed := Some out.Dynet.graph;
-          out
-        in
-        Dynet.make_instance (fun ~step ~informed ->
-            let info = Dynet.next inner ~informed in
-            if step >= from_step && step < until_step then begin
-              match !prev_exposed with
-              | Some g when (not info.Dynet.changed) && step > from_step ->
-                (* Inner unchanged strictly inside the window: the
-                   filtered graph is unchanged too; skip the rebuild. *)
-                Dynet.info_of_graph ~changed:false g
-              | _ ->
-                let g0 = info.Dynet.graph in
-                let b = Builder.create (Graph.n g0) in
-                Graph.iter_edges
-                  (fun u v -> if side u = side v then Builder.add_edge_exn b u v)
-                  g0;
-                (* The filter invalidates the inner analytic values, so
-                   start from a bare info. *)
-                describe (Dynet.info_of_graph g0) (Builder.freeze b)
-            end
-            else if step = until_step then
-              (* Leaving the window restores the cross edges even when
-                 the base graph itself did not change; diff against the
-                 last filtered exposure. *)
-              describe info info.Dynet.graph
-            else begin
-              (* Outside the window: consecutive inner exposures, so
-                 the inner delta passes through unchanged. *)
-              prev_exposed := Some info.Dynet.graph;
-              info
-            end))
-  }
-
-let interleave nets =
-  match nets with
-  | [] -> invalid_arg "Combinators.interleave: empty list"
-  | (first : Dynet.t) :: rest ->
-    let n = first.Dynet.n in
-    List.iter
-      (fun (net : Dynet.t) ->
-        if net.Dynet.n <> n then
-          invalid_arg "Combinators.interleave: node-count mismatch")
-      rest;
-    let arr = Array.of_list nets in
-    {
-      Dynet.n;
-      name =
-        Printf.sprintf "interleave(%s)"
-          (String.concat ", " (List.map (fun (x : Dynet.t) -> x.Dynet.name) nets));
-      source_hint = first.Dynet.source_hint;
-      spawn =
-        (fun rng ->
-          let instances =
-            Array.map (fun (net : Dynet.t) -> net.Dynet.spawn (Rng.split rng)) arr
-          in
-          Dynet.make_instance (fun ~step ~informed ->
-              let info =
-                Dynet.next instances.(step mod Array.length instances) ~informed
-              in
-              (* Consecutive exposed graphs come from different
-                 networks: report changed conservatively, and drop the
-                 inner delta — it describes the inner network's own
-                 previous graph, not the one exposed last step. *)
-              { info with Dynet.changed = true; delta = None }));
-    }
-
-let map_graph ?name f (base : Dynet.t) =
-  let name =
-    match name with
-    | Some s -> s
-    | None -> Printf.sprintf "map(%s)" base.Dynet.name
-  in
-  {
-    Dynet.n = base.Dynet.n;
-    name;
-    source_hint = base.Dynet.source_hint;
-    spawn =
-      (fun rng ->
-        let inner = base.Dynet.spawn rng in
-        Dynet.make_instance (fun ~step ~informed ->
-            let info = Dynet.next inner ~informed in
-            Dynet.info_of_graph ~changed:true (f ~step info.Dynet.graph)))
-  }

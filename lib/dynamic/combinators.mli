@@ -4,13 +4,10 @@
     duty-cycled connectivity ({!intermittent} — exercising the
     [ceil(Phi) = 0] accounting of Theorem 1.3), per-step lossy links
     ({!with_edge_dropout} — wireless-style fading over any base
-    network), round-robin composition ({!interleave}) and arbitrary
-    per-step graph surgery ({!map_graph}).
+    network).
 
     Analytic parameter annotations of the base network are dropped
     wherever the transformation can invalidate them. *)
-
-open Rumor_graph
 
 val intermittent : every:int -> Dynet.t -> Dynet.t
 (** [intermittent ~every net] exposes the base network's next graph on
@@ -25,46 +22,3 @@ val with_edge_dropout : p:float -> Dynet.t -> Dynet.t
     independently with probability [p] (resampled every step, even
     when the base graph is frozen).
     @raise Invalid_argument if [p] is outside [[0, 1]]. *)
-
-val with_node_outage : p:float -> Dynet.t -> Dynet.t
-(** [with_node_outage ~p net] takes each node offline independently
-    with probability [p] per step: an offline node keeps its rumor but
-    loses all its edges for that step (crash-recover semantics — the
-    robustness model of Feige et al. [14] that the paper's introduction
-    cites gossip for).  Resampled every step.
-    @raise Invalid_argument if [p] is outside [[0, 1]]. *)
-
-val with_churn : crash:float -> recover:float -> Dynet.t -> Dynet.t
-(** [with_churn ~crash ~recover net] runs a persistent per-node
-    two-state Markov chain over the steps: an online node crashes with
-    probability [crash] at each step boundary, a crashed one recovers
-    with probability [recover] (contrast {!with_node_outage}, which
-    resamples memorylessly).  A crashed node keeps its rumor but loses
-    all its edges until it recovers.  Everyone starts online.  The
-    graph-level counterpart of [Rumor_faults.Fault_plan] churn — here
-    the surviving nodes' {e degrees} shrink (their contact rates
-    concentrate on live neighbours), whereas the engine-level model
-    keeps degrees and silently drops contacts with crashed nodes; both
-    are legitimate crash semantics, so E13 reports them separately.
-    @raise Invalid_argument if a probability is outside [[0, 1]]. *)
-
-val with_partition :
-  from_step:int -> until_step:int -> side:(int -> bool) -> Dynet.t -> Dynet.t
-(** [with_partition ~from_step ~until_step ~side net] removes every
-    edge crossing the [side] bipartition during steps
-    [from_step <= t < until_step] — a timed network split that heals
-    when the window closes.
-    @raise Invalid_argument if the window is empty. *)
-
-val interleave : Dynet.t list -> Dynet.t
-(** [interleave nets] exposes [nets] round-robin: step [t] shows the
-    next graph of [nets.(t mod length)].  All networks must share the
-    node count.  The source hint of the first network is kept.
-    @raise Invalid_argument on an empty list or mismatched sizes. *)
-
-val map_graph :
-  ?name:string -> (step:int -> Graph.t -> Graph.t) -> Dynet.t -> Dynet.t
-(** [map_graph f net] applies [f] to every exposed graph.  The result
-    conservatively reports [changed = true] on every step (the
-    transformation may differ step to step) and carries no analytic
-    parameters. *)

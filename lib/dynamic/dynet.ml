@@ -77,8 +77,6 @@ let next inst ~informed =
     invalid_arg "Dynet.next: step 0 must report changed = true";
   info
 
-let step_count inst = inst.steps
-
 type t = {
   n : int;
   name : string;
@@ -104,40 +102,3 @@ let of_static ?name ?phi ?rho ?rho_abs graph =
         make_instance (fun ~step ~informed:_ ->
             { graph; changed = step = 0; delta = None; phi; rho; rho_abs }));
   }
-
-let of_sequence ?name graphs =
-  let len = Array.length graphs in
-  if len = 0 then invalid_arg "Dynet.of_sequence: empty graph array";
-  let n = Rumor_graph.Graph.n graphs.(0) in
-  Array.iter
-    (fun g ->
-      if Rumor_graph.Graph.n g <> n then
-        invalid_arg "Dynet.of_sequence: node-count mismatch")
-    graphs;
-  let name = match name with Some s -> s | None -> Printf.sprintf "sequence-%d" len in
-  (* Per-index transition (changed flag + delta), computed once here
-     instead of an O(m) Graph.equal on every step of every run.
-     trans.(i) describes graphs.((i + len - 1) mod len) -> graphs.(i). *)
-  let trans =
-    Array.init len (fun i ->
-        let prev = graphs.((i + len - 1) mod len) in
-        let added, removed = Rumor_graph.Graph.diff prev graphs.(i) in
-        if Array.length added = 0 && Array.length removed = 0 then (false, None)
-        else (true, Some (make_delta ~added ~removed)))
-  in
-  {
-    n;
-    name;
-    source_hint = None;
-    spawn =
-      (fun _rng ->
-        make_instance (fun ~step ~informed:_ ->
-            let g = graphs.(step mod len) in
-            if step = 0 then info_of_graph ~changed:true g
-            else
-              let changed, delta = trans.(step mod len) in
-              info_of_graph ~changed ?delta g));
-  }
-
-let of_fun ~n ~name ?source_hint f =
-  { n; name; source_hint; spawn = (fun rng -> make_instance (f rng)) }

@@ -56,9 +56,6 @@ val next : instance -> informed:Bitset.t -> info
     graph.  The [informed] set is the simulator's informed set at the
     {e start} of the step (the adaptive families' [I_t]). *)
 
-val step_count : instance -> int
-(** Number of [next] calls made so far. *)
-
 type t = {
   n : int;  (** number of nodes, fixed across steps *)
   name : string;
@@ -99,15 +96,3 @@ val of_static :
   ?name:string -> ?phi:float -> ?rho:float -> ?rho_abs:float ->
   Rumor_graph.Graph.t -> t
 (** A static network viewed as the constant dynamic network. *)
-
-val of_sequence : ?name:string -> Rumor_graph.Graph.t array -> t
-(** Cycle through the given graphs: [G(t) = graphs.(t mod length)].
-    All graphs must share the node count.
-    @raise Invalid_argument on an empty array or mismatched sizes. *)
-
-val of_fun :
-  n:int -> name:string -> ?source_hint:int ->
-  (Rng.t -> step:int -> informed:Bitset.t -> info) -> t
-(** General constructor: [spawn] gives the step function a private RNG;
-    per-run state lives in the closure's environment (created fresh on
-    each spawn). *)

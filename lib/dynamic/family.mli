@@ -9,7 +9,7 @@
     complete, reproducible network description. *)
 
 type params = {
-  family : string;  (** one of {!known} (case-insensitive) *)
+  family : string;  (** one that {!is_known} accepts (case-insensitive) *)
   n : int;  (** number of nodes *)
   rho : float;  (** diligence parameter of the adaptive families *)
   degree : int;  (** degree for [regular] *)
@@ -21,9 +21,6 @@ type params = {
 val default : family:string -> n:int -> params
 (** The CLI's default knobs: [rho = 0.25], [degree = 8], [p = 0.05],
     [q = 0.2], [seed = 2020]. *)
-
-val known : string list
-(** Every family {!build} accepts, lower-case. *)
 
 val is_known : string -> bool
 

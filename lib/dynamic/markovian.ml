@@ -128,35 +128,3 @@ let network ~n ~p ~q ?init () =
               end
             end));
   }
-
-(* The direct O(n^2)-per-step sampler: a distributional cross-check for
-   the sparse sampler above (test_delta's density test).  Emits no
-   deltas, so engines take the full-rebuild path. *)
-let network_dense ~n ~p ~q ?init () =
-  let init = validate ~n ~p ~q ~init in
-  {
-    Dynet.n;
-    name = Printf.sprintf "edge-markovian-dense(n=%d,p=%.3g,q=%.3g)" n p q;
-    source_hint = None;
-    spawn =
-      (fun rng ->
-        let current = ref init in
-        Dynet.make_instance (fun ~step ~informed:_ ->
-            if step = 0 then Dynet.info_of_graph ~changed:true init
-            else begin
-              let prev = !current in
-              let b = Builder.create n in
-              for u = 0 to n - 1 do
-                for v = u + 1 to n - 1 do
-                  let alive =
-                    if Graph.has_edge prev u v then not (Rng.bernoulli rng q)
-                    else Rng.bernoulli rng p
-                  in
-                  if alive then Builder.add_edge_exn b u v
-                done
-              done;
-              let g = Builder.freeze b in
-              current := g;
-              Dynet.info_of_graph ~changed:(not (Graph.equal g prev)) g
-            end));
-  }

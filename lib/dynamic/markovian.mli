@@ -19,12 +19,6 @@ val network :
     @raise Invalid_argument if [p] or [q] is outside [[0, 1]], or
     [init] has the wrong node count. *)
 
-val network_dense :
-  n:int -> p:float -> q:float -> ?init:Graph.t -> unit -> Dynet.t
-(** The direct O(n^2)-per-step sampler (one Bernoulli trial per node
-    pair), kept as a distributional cross-check for {!network}.  Emits
-    no deltas. *)
-
 val stationary_edge_probability : p:float -> q:float -> float
 (** The chain's stationary presence probability [p / (p + q)]
     (defined when [p + q > 0]). *)

@@ -15,6 +15,3 @@ val network :
     each).  Initial positions are uniform.
     @raise Invalid_argument on non-positive dimensions, agent count,
     or radius. *)
-
-val torus_distance : width:int -> height:int -> (int * int) -> (int * int) -> int
-(** Chebyshev distance on the torus (exposed for tests). *)

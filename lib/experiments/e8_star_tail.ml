@@ -27,7 +27,7 @@ let run ~full rng =
   List.iter
     (fun k ->
       let kf = float_of_int k in
-      let emp = Rumor_stats.Histogram.empirical_tail times (2. *. kf) in
+      let emp = Rumor_stats.Quantile.empirical_tail times (2. *. kf) in
       let env = envelope kf in
       (* Monte-Carlo noise floor: below ~3/reps the empirical tail is
          indistinguishable from zero. *)
@@ -77,8 +77,8 @@ let run ~full rng =
   List.iter
     (fun k ->
       let kf = float_of_int k in
-      let p1 = Rumor_stats.Histogram.empirical_tail tf kf in
-      let p2 = Rumor_stats.Histogram.empirical_tail rest kf in
+      let p1 = Rumor_stats.Quantile.empirical_tail tf kf in
+      let p2 = Rumor_stats.Quantile.empirical_tail rest kf in
       let noise = 3. /. float_of_int phase_reps in
       if p1 > (slack *. exp (-.kf /. 2.)) +. noise then phases_ok := false;
       if p2 > (slack *. l62_envelope kf) +. noise then phases_ok := false;

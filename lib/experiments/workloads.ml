@@ -114,6 +114,3 @@ let static_zoo ?(full = false) rng =
       rho_abs = 1. /. float_of_int reg_d;
     };
   ]
-
-let fmt_ratio a b =
-  if b = 0. then "-" else Printf.sprintf "%.2f" (a /. b)

@@ -39,6 +39,3 @@ val static_zoo : ?full:bool -> Rng.t -> static_case list
     diligence is exactly 1 and the other parameters have closed
     forms (the random-regular conductance is a spectral sweep
     estimate). *)
-
-val fmt_ratio : float -> float -> string
-(** ["a/b"-style ratio cell]; "-" when the denominator is 0. *)

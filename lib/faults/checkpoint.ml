@@ -18,7 +18,6 @@ let m_bad_magic = Obs.counter "checkpoint.bad_magic"
 
 let magic_v1 = "rumor-checkpoint v1"
 let magic_v2 = "rumor-checkpoint v2"
-let magic = magic_v2
 
 let fingerprint rng = Rumor_rng.Rng.bits64 (Rumor_rng.Rng.copy rng)
 

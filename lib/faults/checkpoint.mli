@@ -55,7 +55,3 @@ val load : string -> (int64, outcome) Hashtbl.t
     v1).  Returns an empty table if the file does not exist or its
     magic line is wrong; lines it cannot parse are counted and warned
     about, never silently skipped (see the format notes above). *)
-
-val magic : string
-(** First line of a freshly saved checkpoint file (version prefix;
-    the v2 header additionally carries [" crc32=<hex8>"]). *)

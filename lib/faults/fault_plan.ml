@@ -40,13 +40,6 @@ let message_loss p = make ~loss:p ()
 
 let node_churn ~crash ~recover = make ~churn:{ crash; recover } ()
 
-let partition_window ~from_step ~until_step ~side =
-  make ~partitions:[ { from_step; until_step; side } ] ()
-
-let trivial t =
-  t.loss <= 0. && Option.is_none t.node_rate && Option.is_none t.churn
-  && t.partitions = []
-
 let availability { crash; recover } =
   if crash = 0. then 1.
   else if recover = 0. then 0.
@@ -60,8 +53,6 @@ type state = {
   rates : float array option;
   mutable active : partition list;
 }
-
-let plan st = st.plan
 
 let active_at partitions step =
   List.filter (fun p -> p.from_step <= step && step < p.until_step) partitions
@@ -128,8 +119,6 @@ let[@inline] allows st u v = alive st u && alive st v && not (blocked st u v)
 
 let restricts st =
   Option.is_some st.alive_set || match st.active with [] -> false | _ -> true
-
-let[@inline] rate st v = match st.rates with None -> 1.0 | Some r -> r.(v)
 
 let node_rates st = st.rates
 

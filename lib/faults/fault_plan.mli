@@ -71,12 +71,6 @@ val message_loss : float -> t
 
 val node_churn : crash:float -> recover:float -> t
 
-val partition_window :
-  from_step:int -> until_step:int -> side:(int -> bool) -> t
-
-val trivial : t -> bool
-(** Is this plan observationally the empty plan? *)
-
 val availability : churn -> float
 (** Stationary probability that a node is alive:
     [recover / (crash + recover)] (1 if both are 0). *)
@@ -95,8 +89,6 @@ val init : t -> n:int -> state
     @raise Invalid_argument if some node rate is non-positive or
     non-finite. *)
 
-val plan : state -> t
-
 val advance : state -> Rng.t -> step:int -> bool
 (** Advance the fault state across the boundary into discrete [step]
     (engines call it with [step >= 1], once per boundary).  Flips each
@@ -107,9 +99,6 @@ val advance : state -> Rng.t -> step:int -> bool
 
 val alive : state -> int -> bool
 
-val blocked : state -> int -> int -> bool
-(** Is the [u]–[v] contact cut by a currently active partition? *)
-
 val allows : state -> int -> int -> bool
 (** [alive u && alive v && not (blocked u v)] — may this pair exchange
     messages right now? *)
@@ -118,9 +107,6 @@ val restricts : state -> bool
 (** Can {!allows} be [false] for some pair right now?  [false] when the
     plan has no churn and no active partition window: the engines test
     this once per neighbour loop and skip {!allows} inside it. *)
-
-val rate : state -> int -> float
-(** Clock-rate multiplier of a node (1 for a trivial plan). *)
 
 val node_rates : state -> float array option
 (** The cached per-node rate array, [None] when rates are homogeneous

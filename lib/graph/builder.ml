@@ -1,16 +1,11 @@
 type t = {
   n : int;
-  mutable m : int;
   neigh : (int, unit) Hashtbl.t array; (* adjacency sets *)
 }
 
 let create n =
   if n < 0 then invalid_arg "Builder.create: negative node count";
-  { n; m = 0; neigh = Array.init (max 1 n) (fun _ -> Hashtbl.create 4) }
-
-let n b = b.n
-
-let m b = b.m
+  { n; neigh = Array.init (max 1 n) (fun _ -> Hashtbl.create 4) }
 
 let check b u =
   if u < 0 || u >= b.n then
@@ -33,7 +28,6 @@ let add_edge b u v =
   else begin
     Hashtbl.replace b.neigh.(u) v ();
     Hashtbl.replace b.neigh.(v) u ();
-    b.m <- b.m + 1;
     true
   end
 
@@ -47,7 +41,6 @@ let remove_edge b u v =
   if Hashtbl.mem b.neigh.(u) v then begin
     Hashtbl.remove b.neigh.(u) v;
     Hashtbl.remove b.neigh.(v) u;
-    b.m <- b.m - 1;
     true
   end
   else false

@@ -11,11 +11,6 @@ val create : int -> t
 (** [create n] starts an edgeless builder over [n] nodes.
     @raise Invalid_argument if [n < 0]. *)
 
-val n : t -> int
-
-val m : t -> int
-(** Current edge count. *)
-
 val degree : t -> int -> int
 
 val has_edge : t -> int -> int -> bool

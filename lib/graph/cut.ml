@@ -10,36 +10,12 @@ let cut_size g set =
       if Bitset.mem set u <> Bitset.mem set v then acc + 1 else acc)
     g 0
 
-let cut_edges g set =
-  Graph.fold_edges
-    (fun u v acc ->
-      match (Bitset.mem set u, Bitset.mem set v) with
-      | true, false -> (u, v) :: acc
-      | false, true -> (v, u) :: acc
-      | true, true | false, false -> acc)
-    g []
-
 let conductance_of_cut g set =
   let vol_s = volume_of g set in
   let vol_rest = Graph.volume g - vol_s in
   if vol_s = 0 || vol_rest = 0 then
     invalid_arg "Cut.conductance_of_cut: a side has zero volume";
   float_of_int (cut_size g set) /. float_of_int (min vol_s vol_rest)
-
-let diligence_of_cut g set =
-  let vol_s = volume_of g set in
-  let vol_g = Graph.volume g in
-  if vol_s <= 0 || 2 * vol_s > vol_g then
-    invalid_arg "Cut.diligence_of_cut: need 0 < vol(S) <= vol(G)/2";
-  let dbar = float_of_int vol_s /. float_of_int (Bitset.cardinal set) in
-  Graph.fold_edges
-    (fun u v acc ->
-      if Bitset.mem set u <> Bitset.mem set v then
-        let du = float_of_int (Graph.degree g u)
-        and dv = float_of_int (Graph.degree g v) in
-        min acc (Float.max (dbar /. du) (dbar /. dv))
-      else acc)
-    g infinity
 
 let check_exact g =
   let n = Graph.n g in
@@ -153,30 +129,4 @@ let diligence_exact g =
           if !rho_s < !best then best := !rho_s
         end);
     !best
-  end
-
-let min_conductance_cut g =
-  check_exact g;
-  if Graph.m g = 0 then invalid_arg "Cut.min_conductance_cut: edgeless graph";
-  let n = Graph.n g in
-  if not (Traverse.is_connected g) then
-    (* Return one whole component: conductance 0. *)
-    (Traverse.component_of g 0, 0.)
-  else begin
-    let best = ref infinity and best_mask = ref 1 in
-    enumerate g (fun ~mask ~size_s:_ ~vol_s ~cut_s ~vol_g ~edges:_ ~degrees:_ ->
-        if vol_s > 0 && vol_s < vol_g then begin
-          let phi =
-            float_of_int cut_s /. float_of_int (min vol_s (vol_g - vol_s))
-          in
-          if phi < !best then begin
-            best := phi;
-            best_mask := mask
-          end
-        end);
-    let set = Bitset.create n in
-    for u = 0 to n - 1 do
-      if !best_mask land (1 lsl u) <> 0 then ignore (Bitset.add set u)
-    done;
-    (set, !best)
   end

@@ -14,25 +14,9 @@ val exact_size_limit : int
 (** Largest [n] accepted by the exact (subset-enumerating)
     functions. *)
 
-val volume_of : Graph.t -> Bitset.t -> int
-(** [vol(S)]: sum of degrees over the set. *)
-
-val cut_size : Graph.t -> Bitset.t -> int
-(** [|E(S, S-bar)|]: number of edges crossing the set. *)
-
-val cut_edges : Graph.t -> Bitset.t -> (int * int) list
-(** Crossing edges, each as [(inside, outside)]. *)
-
 val conductance_of_cut : Graph.t -> Bitset.t -> float
 (** [|E(S, S-bar)| / min(vol S, vol S-bar)] (Equation 2 for one set).
     @raise Invalid_argument if either side has zero volume. *)
-
-val diligence_of_cut : Graph.t -> Bitset.t -> float
-(** [rho(S)] for the given [S], which must satisfy
-    [0 < vol(S) <= vol(G)/2]:
-    [min over crossing edges {u,v} of max(dbar(S)/d_u, dbar(S)/d_v)]
-    where [dbar(S) = vol(S)/|S|].  Returns [infinity] on an empty cut.
-    @raise Invalid_argument if the volume constraint is violated. *)
 
 val conductance_exact : Graph.t -> float
 (** [Phi(G)] by subset enumeration; [0.] if disconnected.
@@ -42,7 +26,3 @@ val diligence_exact : Graph.t -> float
 (** [rho(G)] by subset enumeration (Equation 4); [0.] if disconnected
     (the paper's convention).
     @raise Invalid_argument if [n > exact_size_limit]. *)
-
-val min_conductance_cut : Graph.t -> Bitset.t * float
-(** The minimising subset together with its conductance.
-    @raise Invalid_argument as {!conductance_exact}. *)

@@ -50,38 +50,6 @@ let circulant n strides =
     strides;
   Builder.freeze b
 
-let complete_bipartite a bn =
-  if a < 0 || bn < 0 then invalid_arg "Gen.complete_bipartite: negative side";
-  let b = Builder.create (a + bn) in
-  Builder.add_complete_bipartite b
-    (Array.init a (fun i -> i))
-    (Array.init bn (fun i -> a + i));
-  Builder.freeze b
-
-let grid w h =
-  if w < 1 || h < 1 then invalid_arg "Gen.grid: need positive dimensions";
-  let idx x y = (y * w) + x in
-  let b = Builder.create (w * h) in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      if x + 1 < w then Builder.add_edge_exn b (idx x y) (idx (x + 1) y);
-      if y + 1 < h then Builder.add_edge_exn b (idx x y) (idx x (y + 1))
-    done
-  done;
-  Builder.freeze b
-
-let torus w h =
-  if w < 3 || h < 3 then invalid_arg "Gen.torus: need w, h >= 3";
-  let idx x y = (y * w) + x in
-  let b = Builder.create (w * h) in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      ignore (Builder.add_edge b (idx x y) (idx ((x + 1) mod w) y));
-      ignore (Builder.add_edge b (idx x y) (idx x ((y + 1) mod h)))
-    done
-  done;
-  Builder.freeze b
-
 let hypercube d =
   if d < 0 then invalid_arg "Gen.hypercube: negative dimension";
   let n = 1 lsl d in
@@ -94,30 +62,12 @@ let hypercube d =
   done;
   Builder.freeze b
 
-let binary_tree n =
-  let b = Builder.create n in
-  for i = 1 to n - 1 do
-    Builder.add_edge_exn b i ((i - 1) / 2)
-  done;
-  Builder.freeze b
-
 let barbell n =
   if n < 1 then invalid_arg "Gen.barbell: need n >= 1";
   let b = Builder.create (2 * n) in
   Builder.add_clique b (Array.init n (fun i -> i));
   Builder.add_clique b (Array.init n (fun i -> n + i));
   Builder.add_edge_exn b (n - 1) n;
-  Builder.freeze b
-
-let lollipop clique_size path_len =
-  if clique_size < 1 || path_len < 0 then invalid_arg "Gen.lollipop: bad sizes";
-  let b = Builder.create (clique_size + path_len) in
-  Builder.add_clique b (Array.init clique_size (fun i -> i));
-  for i = 0 to path_len - 1 do
-    let v = clique_size + i in
-    let u = if i = 0 then 0 else v - 1 in
-    Builder.add_edge_exn b u v
-  done;
   Builder.freeze b
 
 let clique_with_pendant n =
@@ -218,16 +168,6 @@ let random_connected_regular rng n d =
   in
   retry 0
 
-let wheel n =
-  if n < 4 then invalid_arg "Gen.wheel: need n >= 4";
-  let b = Builder.create n in
-  for i = 1 to n - 1 do
-    Builder.add_edge_exn b 0 i;
-    let next = if i = n - 1 then 1 else i + 1 in
-    ignore (Builder.add_edge b i next)
-  done;
-  Builder.freeze b
-
 let watts_strogatz rng n k beta =
   if k < 1 || 2 * k > n - 1 then
     invalid_arg "Gen.watts_strogatz: need 1 <= k <= (n-1)/2";
@@ -306,21 +246,5 @@ let barabasi_albert rng n m =
         grow_endpoint u;
         grow_endpoint v)
       chosen
-  done;
-  Builder.freeze b
-
-let random_geometric_torus rng n radius =
-  if radius < 0. then invalid_arg "Gen.random_geometric_torus: negative radius";
-  let pts = Array.init n (fun _ -> (Rng.float rng, Rng.float rng)) in
-  let dist (x1, y1) (x2, y2) =
-    let wrap d = let d = Float.abs d in Float.min d (1. -. d) in
-    let dx = wrap (x1 -. x2) and dy = wrap (y1 -. y2) in
-    sqrt ((dx *. dx) +. (dy *. dy))
-  in
-  let b = Builder.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if dist pts.(i) pts.(j) <= radius then Builder.add_edge_exn b i j
-    done
   done;
   Builder.freeze b

@@ -31,30 +31,13 @@ val circulant : int -> int list -> Graph.t
     [1 <= s <= n/2], or strides repeat, or [s = n/2] is listed when that
     chord class collapses to single edges together with another use. *)
 
-val complete_bipartite : int -> int -> Graph.t
-(** [complete_bipartite a b]: side A is [{0..a-1}], side B the rest. *)
-
-val grid : int -> int -> Graph.t
-(** [grid w h]: 4-neighbour lattice without wraparound. *)
-
-val torus : int -> int -> Graph.t
-(** [torus w h]: lattice with wraparound; requires [w, h >= 3] to stay
-    simple. *)
-
 val hypercube : int -> Graph.t
 (** [hypercube d] on [2^d] nodes. *)
-
-val binary_tree : int -> Graph.t
-(** Complete binary heap-shaped tree on [n] nodes. *)
 
 val barbell : int -> Graph.t
 (** Two [K_n] cliques joined by a single bridge edge: the classic
     low-conductance static network (spread bottleneck). Total [2n]
     nodes. *)
-
-val lollipop : int -> int -> Graph.t
-(** [lollipop clique_size path_len]: [K_clique_size] with a path of
-    [path_len] extra nodes hanging off node 0. *)
 
 val clique_with_pendant : int -> Graph.t
 (** [K_n] plus one pendant node attached to node [0] — the [G^(0)] of
@@ -70,20 +53,12 @@ val two_cliques_bridged : int -> Graph.t
 val erdos_renyi : Rng.t -> int -> float -> Graph.t
 (** [G(n, p)]: every pair independently with probability [p]. *)
 
-val random_regular : Rng.t -> int -> int -> Graph.t
-(** [random_regular rng n d]: a uniform-ish simple [d]-regular graph by
-    the configuration model with restart on collisions; w.h.p. an
-    expander for fixed [d >= 3].
-    @raise Invalid_argument if [n * d] is odd or [d >= n] or [d < 0]. *)
-
 val random_connected_regular : Rng.t -> int -> int -> Graph.t
-(** Like {!random_regular} but resamples until connected ([d >= 3]
-    virtually always succeeds on the first draw). *)
-
-val wheel : int -> Graph.t
-(** [wheel n]: node 0 as hub joined to an (n-1)-cycle; [n >= 4].  A
-    star with local rim redundancy — diligence sits strictly between
-    the star's 1 and a bounded-degree graph's. *)
+(** [random_connected_regular rng n d]: a uniform-ish simple connected
+    [d]-regular graph by the configuration model with restart on
+    collisions, resampled until connected ([d >= 3] virtually always
+    succeeds on the first draw); w.h.p. an expander for fixed [d >= 3].
+    @raise Invalid_argument if [n * d] is odd or [d >= n] or [d < 1]. *)
 
 val watts_strogatz : Rng.t -> int -> int -> float -> Graph.t
 (** [watts_strogatz rng n k beta]: ring lattice with [k] neighbours per
@@ -101,9 +76,3 @@ val barabasi_albert : Rng.t -> int -> int -> Graph.t
     degree distributions of the paper's "social networks" motivation
     (Doerr et al. [12]).
     @raise Invalid_argument unless [1 <= m < n]. *)
-
-val random_geometric_torus : Rng.t -> int -> float -> Graph.t
-(** [random_geometric_torus rng n radius]: [n] points uniform on the
-    unit torus, edges between pairs at toroidal Euclidean distance
-    [<= radius] — the static snapshot of the mobile-agent model.
-    @raise Invalid_argument if [radius < 0]. *)

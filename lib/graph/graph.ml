@@ -43,16 +43,6 @@ let degree g u =
   check g u;
   unsafe_degree g u
 
-let neighbors g u =
-  check g u;
-  Array.sub g.nbr g.off.(u) (unsafe_degree g u)
-
-let neighbor g u i =
-  check g u;
-  if i < 0 || i >= unsafe_degree g u then
-    invalid_arg (Printf.sprintf "Graph.neighbor: index %d out of range" i);
-  unsafe_neighbor g u i
-
 let has_edge g u v =
   check g u;
   check g v;
@@ -127,8 +117,6 @@ let min_degree g =
     !best
   end
 
-let is_regular g = g.n = 0 || max_degree g = min_degree g
-
 let equal a b = a.n = b.n && a.m = b.m && a.off = b.off && a.nbr = b.nbr
 
 let pp fmt g =
@@ -151,33 +139,6 @@ let unsafe_make ~n ~adj =
     Array.blit adj.(u) 0 nbr off.(u) (Array.length adj.(u))
   done;
   mk ~n ~m:(total / 2) ~off ~nbr
-
-let of_edges n edge_list =
-  if n < 0 then invalid_arg "Graph.of_edges: negative node count";
-  let lists = Array.make (max 1 n) [] in
-  let seen = Hashtbl.create (2 * List.length edge_list) in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg
-          (Printf.sprintf "Graph.of_edges: edge (%d, %d) out of range" u v);
-      if u = v then
-        invalid_arg (Printf.sprintf "Graph.of_edges: self-loop at %d" u);
-      let key = (min u v, max u v) in
-      if Hashtbl.mem seen key then
-        invalid_arg
-          (Printf.sprintf "Graph.of_edges: duplicate edge (%d, %d)" u v);
-      Hashtbl.add seen key ();
-      lists.(u) <- v :: lists.(u);
-      lists.(v) <- u :: lists.(v))
-    edge_list;
-  let adj =
-    Array.init n (fun u ->
-        let a = Array.of_list lists.(u) in
-        Array.sort compare a;
-        a)
-  in
-  unsafe_make ~n ~adj
 
 (* --- O(Delta) structural updates --- *)
 

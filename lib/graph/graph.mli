@@ -22,15 +22,6 @@ val degree : t -> int -> int
 (** [degree g u]; O(1). @raise Invalid_argument if [u] is out of
     range. *)
 
-val neighbors : t -> int -> int array
-(** Neighbour array of [u] in increasing order, as a fresh array
-    (allocates — prefer {!iter_neighbors} or {!unsafe_neighbor} on hot
-    paths). *)
-
-val neighbor : t -> int -> int -> int
-(** [neighbor g u i] is the [i]-th neighbour of [u]; O(1).
-    @raise Invalid_argument if [i >= degree g u]. *)
-
 val iter_neighbors : (int -> unit) -> t -> int -> unit
 (** Iterate the neighbours of a node in increasing order without
     allocating.  Unchecked: the node must be in range. *)
@@ -40,7 +31,8 @@ val unsafe_degree : t -> int -> int
     once at creation and use this inside their event loops. *)
 
 val unsafe_neighbor : t -> int -> int -> int
-(** [neighbor] without any bounds check: [u] must be in range and
+(** [unsafe_neighbor g u i] is the [i]-th neighbour of [u], in
+    increasing order; O(1) and unchecked: [u] must be in range and
     [0 <= i < degree g u]. *)
 
 val csr_offsets : t -> int array
@@ -77,19 +69,11 @@ val max_degree : t -> int
 val min_degree : t -> int
 (** 0 on an edgeless graph (and on any graph with an isolated node). *)
 
-val is_regular : t -> bool
-
 val equal : t -> t -> bool
 (** Same node count and same edge set. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact [n/m] + adjacency rendering for small graphs. *)
-
-val of_edges : int -> (int * int) list -> t
-(** [of_edges n edge_list] builds a graph directly; convenience wrapper
-    over {!Builder}.  Duplicate edges (in either orientation) and
-    self-loops are rejected.
-    @raise Invalid_argument on malformed input. *)
 
 (** {1 Structural deltas}
 

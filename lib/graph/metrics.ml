@@ -1,26 +1,8 @@
-let edge_min_degree_max g =
-  Graph.fold_edges
-    (fun u v acc -> max acc (min (Graph.degree g u) (Graph.degree g v)))
-    g 0
-
 let absolute_diligence g =
-  let worst = edge_min_degree_max g in
+  (* max over edges of min(d_u, d_v): the reciprocal of rho-bar. *)
+  let worst =
+    Graph.fold_edges
+      (fun u v acc -> max acc (min (Graph.degree g u) (Graph.degree g v)))
+      g 0
+  in
   if worst = 0 then 0. else 1. /. float_of_int worst
-
-let mean_degree g =
-  if Graph.n g = 0 then 0.
-  else float_of_int (Graph.volume g) /. float_of_int (Graph.n g)
-
-let degree_histogram g =
-  let tbl = Hashtbl.create 16 in
-  for u = 0 to Graph.n g - 1 do
-    let d = Graph.degree g u in
-    let c = try Hashtbl.find tbl d with Not_found -> 0 in
-    Hashtbl.replace tbl d (c + 1)
-  done;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl []
-  |> List.sort compare
-
-let degree_array g = Array.init (Graph.n g) (Graph.degree g)
-
-let is_rho_diligent g rho = Cut.diligence_exact g > rho

@@ -1,25 +1,6 @@
-(** Cheap (polynomial-time) graph parameters.
-
-    Absolute diligence is an O(m) quantity (Section 5); the degree
-    statistics feed the [M(G)] factor of the Giakkoupis et al. bound
-    the paper compares against (Section 1.2). *)
+(** Cheap (polynomial-time) graph parameters: absolute diligence is an
+    O(m) quantity (Section 5). *)
 
 val absolute_diligence : Graph.t -> float
 (** [rho-bar(G) = min over edges {u,v} of max(1/d_u, 1/d_v)]; the paper
     sets it to [0.] on an empty (edgeless) graph. *)
-
-val mean_degree : Graph.t -> float
-(** [vol(G) / n]; [0.] on the empty graph. *)
-
-val degree_histogram : Graph.t -> (int * int) list
-(** [(degree, count)] pairs in increasing degree order. *)
-
-val degree_array : Graph.t -> int array
-
-val edge_min_degree_max : Graph.t -> int
-(** [max over edges of min(d_u, d_v)] — the reciprocal of absolute
-    diligence; 0 on an edgeless graph. *)
-
-val is_rho_diligent : Graph.t -> float -> bool
-(** [is_rho_diligent g rho] iff [rho(G) > rho], computed exactly
-    (so subject to {!Cut.exact_size_limit}). *)

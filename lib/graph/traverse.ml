@@ -22,53 +22,3 @@ let is_connected g =
   else
     let dist = bfs g 0 in
     Array.for_all (fun d -> d >= 0) dist
-
-let components g =
-  let n = Graph.n g in
-  let label = Array.make n (-1) in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if label.(s) < 0 then begin
-      let c = !count in
-      incr count;
-      let queue = Queue.create () in
-      label.(s) <- c;
-      Queue.push s queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Graph.iter_neighbors
-          (fun v ->
-            if label.(v) < 0 then begin
-              label.(v) <- c;
-              Queue.push v queue
-            end)
-          g u
-      done
-    end
-  done;
-  (label, !count)
-
-let component_of g s =
-  let dist = bfs g s in
-  let set = Rumor_util.Bitset.create (Graph.n g) in
-  Array.iteri (fun u d -> if d >= 0 then ignore (Rumor_util.Bitset.add set u)) dist;
-  set
-
-let eccentricity g s =
-  let dist = bfs g s in
-  Array.fold_left
-    (fun acc d ->
-      if d < 0 then invalid_arg "Traverse.eccentricity: disconnected graph"
-      else max acc d)
-    0 dist
-
-let diameter g =
-  let n = Graph.n g in
-  if n = 0 then 0
-  else begin
-    let best = ref 0 in
-    for s = 0 to n - 1 do
-      best := max !best (eccentricity g s)
-    done;
-    !best
-  end

@@ -1,29 +1,8 @@
-(** Graph traversal: BFS distances, connectivity, components, diameter.
+(** Graph connectivity by breadth-first search.
 
     Connectivity decides whether the paper's parameters are defined at
     all ([rho(G) = 0] on a disconnected graph; [ceil(Phi(G)) = 0] in
-    Theorem 1.3), and eccentricities give the flooding baseline. *)
-
-val bfs : Graph.t -> int -> int array
-(** [bfs g s] is the array of hop distances from [s]; unreachable nodes
-    get [-1]. *)
+    Theorem 1.3). *)
 
 val is_connected : Graph.t -> bool
 (** [true] on the empty and one-node graph. *)
-
-val components : Graph.t -> int array * int
-(** [(label, count)]: [label.(u)] is the component index of [u], with
-    indices in [{0, ..., count-1}] assigned in order of smallest
-    member. *)
-
-val component_of : Graph.t -> int -> Rumor_util.Bitset.t
-(** Nodes reachable from the given source, as a bit set. *)
-
-val eccentricity : Graph.t -> int -> int
-(** Largest finite BFS distance from the node.
-    @raise Invalid_argument if the graph is disconnected. *)
-
-val diameter : Graph.t -> int
-(** Exact diameter by all-sources BFS (O(n(n+m)); intended for the
-    moderate sizes used in experiments).
-    @raise Invalid_argument if the graph is disconnected. *)

@@ -79,7 +79,6 @@ type summary = {
   wall_s : float;
 }
 
-val wal_path : config -> string
 val manifest_path : config -> string
 
 val install_signal_handlers : unit -> unit

@@ -159,7 +159,6 @@ type summary = {
   workers : worker_stats list;  (** local slots, then remote joiners *)
 }
 
-val wal_path : config -> string
 val manifest_path : config -> string
 
 val port_path : config -> string

@@ -15,20 +15,6 @@ type fault = {
   max_resets : int option;
 }
 
-let passthrough =
-  {
-    latency_s = 0.;
-    jitter_s = 0.;
-    bandwidth_bps = None;
-    drop_p = 0.;
-    dup_p = 0.;
-    corrupt_p = 0.;
-    truncate_p = 0.;
-    reset_p = 0.;
-    reset_after_bytes = None;
-    max_resets = None;
-  }
-
 type stats = {
   conns : int;
   chunks : int;

@@ -44,9 +44,6 @@ type fault = {
       (** global budget for resets + truncations; [None] = unlimited *)
 }
 
-val passthrough : fault
-(** All-zero fault: a faithful (if slightly slower) TCP relay. *)
-
 type stats = {
   conns : int;
   chunks : int;

@@ -69,16 +69,11 @@ val version : int
 (** The protocol version (2) — the only one spoken: a hello whose [v]
     is absent or differs is rejected at admission. *)
 
-val max_frame : int
-(** Upper bound on accepted payload length (8 MiB) — a corrupt length
-    prefix must not trigger a gigabyte allocation, but a result frame
-    inlining a task's captured output must fit. *)
-
 val frame : ?crc:bool -> Json.t -> bytes
 (** The wire bytes of one frame (length prefix + compact payload +
     optional CRC-32 trailer), for callers that buffer writes
     themselves.  [crc] defaults to [false].
-    @raise Protocol_error when the payload exceeds {!max_frame}. *)
+    @raise Protocol_error when the payload exceeds the 8 MiB frame cap. *)
 
 val send : ?crc:bool -> Unix.file_descr -> Json.t -> unit
 (** Write one frame, handling short writes.
@@ -115,11 +110,6 @@ val next : reader -> Json.t option
     frame have been sitting in the buffer longer than the caller's
     timeout.  An empty buffer is merely idle, never stalled — idle
     policy is the caller's. *)
-
-val pending : reader -> bool
-(** Buffered bytes that do not yet form a complete frame.  An
-    oversized length prefix counts as complete (so the error surfaces
-    through {!next} rather than a stall drop). *)
 
 val age : reader -> now:float -> float
 (** Seconds since the reader last made progress (creation or a

@@ -9,17 +9,9 @@
 
 module Json = Rumor_obs.Json
 
-val argv : unit -> string list
-(** [Sys.argv] as a list, argv[0] included. *)
-
-val hostname : unit -> string option
-(** [Unix.gethostname], [None] when unavailable or empty. *)
-
-val git_rev : unit -> string option
-(** The source revision, best effort: [RUMOR_GIT_REV], else
-    [GITHUB_SHA], else one [git rev-parse --short HEAD] against the
-    working directory (memoized); [None] when all three fail. *)
-
 val manifest_fields : unit -> (string * Json.t) list
-(** The optional manifest fields: always [argv], plus [hostname] and
-    [git_rev] when known. *)
+(** The optional manifest fields: always [argv] ([Sys.argv], argv[0]
+    included), plus [hostname] ([Unix.gethostname]) and [git_rev] when
+    known.  The revision is best effort: [RUMOR_GIT_REV], else
+    [GITHUB_SHA], else one [git rev-parse --short HEAD] against the
+    working directory. *)

@@ -21,7 +21,6 @@ type recovery = {
 }
 
 type t = {
-  path : string;
   fsync : bool;
   lock : Mutex.t;
   mutable oc : out_channel option;
@@ -29,7 +28,6 @@ type t = {
 }
 
 let quarantine_path path = path ^ ".quarantine"
-let path t = t.path
 let recovery t = t.recovery
 
 let sync_channel oc =
@@ -197,7 +195,7 @@ let open_ ?(fsync = true) path =
     end
   in
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  { path; fsync; lock = Mutex.create (); oc = Some oc; recovery }
+  { fsync; lock = Mutex.create (); oc = Some oc; recovery }
 
 let append t rec_ =
   let line = render_record rec_ ^ "\n" in

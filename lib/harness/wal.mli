@@ -37,15 +37,12 @@
 
 module Json = Rumor_obs.Json
 
-val magic : string
-(** First line of every log: ["rumor-wal/1"]. *)
-
 type t
 (** An open log handle.  Appends are mutex-guarded: safe from multiple
     domains. *)
 
 exception Bad_magic of { path : string; found : string }
-(** The file exists but its first line is not {!magic} — it is not a
+(** The file exists but its first line is not ["rumor-wal/1"] — it is not a
     WAL (or not one this version reads); refusing is safer than
     quarantining the whole file. *)
 
@@ -76,8 +73,6 @@ val append : t -> Json.t -> unit
 
 val close : t -> unit
 (** Flush, sync and close.  Idempotent. *)
-
-val path : t -> string
 
 val quarantine_path : string -> string
 (** [<path>.quarantine] — where recovery moves untrusted records. *)

@@ -149,6 +149,7 @@ let read_back path =
 
 exception Reconnect of string
 exception Fatal of string
+exception Orphaned
 
 let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
     ~transport ~id ~tasks_dir ~run_task () =
@@ -165,6 +166,16 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
     | Unix_sock _ -> (None, false)
   in
   let seed = Int64.of_int (if id >= 0 then id + 1 else Unix.getpid ()) in
+  (* A Unix-socket worker is the coordinator's forked child: once its
+     parent changes, the coordinator is gone and nobody will collect
+     the work, so it stops at the next task boundary.  A TCP worker was
+     started by someone else and keeps reconnecting. *)
+  let parent =
+    match transport with Unix_sock _ -> Some (Unix.getppid ()) | Tcp _ -> None
+  in
+  let orphaned () =
+    match parent with Some p -> Unix.getppid () <> p | None -> false
+  in
   let sess_id = ref id in
   (* Results of the current lease the coordinator has not provably
      processed yet; re-sent when the lease is regranted, so a result
@@ -270,7 +281,6 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
           | Proto.Result r -> r.lease = lease && r.epoch = epoch
           | _ -> false)
         !unacked;
-    let broken = ref None in
     List.iter
       (fun task ->
         let msg =
@@ -281,6 +291,7 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
           with
           | Some held -> held
           | None ->
+            if orphaned () then raise Orphaned;
             let file, outcome =
               run_captured ~tasks_dir ~task ~lease ~epoch run_task
             in
@@ -288,17 +299,16 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
             unacked := msg :: !unacked;
             msg
         in
-        if !broken = None then
-          try send conn msg
-          with (Unix.Unix_error _ | Sys_error _) as e ->
-            (* Finish the whole batch first — the work is done either
-               way; the results are re-sent when the resumed session
-               regrants the lease. *)
-            broken := Some (Printexc.to_string e))
-      tasks;
-    match !broken with
-    | Some why -> raise (Reconnect ("send failed: " ^ why))
-    | None -> ()
+        try send conn msg
+        with (Unix.Unix_error _ | Sys_error _) as e ->
+          (* Run no further task of the batch: a failed send usually
+             means the coordinator is gone, and its orphaned workers
+             would only compete for CPU with the one that resumes the
+             campaign.  The resumed session regrants the lease; the
+             held results are re-sent then, and the tasks that never
+             ran run then. *)
+          raise (Reconnect ("send failed: " ^ Printexc.to_string e)))
+      tasks
   in
   let rec sessions () =
     match connect ~seed transport with
@@ -344,12 +354,17 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
             | Fatal msg ->
               Printf.eprintf "rumor worker %d: %s\n%!" !sess_id msg;
               `Done 3
+            | Orphaned -> `Again "parent exited"
             | Reconnect why -> `Again why
             | Unix.Unix_error _ | Sys_error _ | Proto.Protocol_error _ ->
               `Again "connection error")
       in
       match outcome with
       | `Done code -> code
+      | `Again why when orphaned () ->
+        Printf.eprintf "rumor worker %d: coordinator gone (%s), exiting\n%!"
+          !sess_id why;
+        3
       | `Again why ->
         incr reconnects;
         if !admitted then fail_streak := 0 else incr fail_streak;

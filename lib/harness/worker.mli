@@ -22,13 +22,16 @@
     self-pipe, so an orderly exit wakes and joins it at once.
 
     {b Reconnect/resume} — on either transport, on EPIPE, ECONNRESET,
-    EOF, a CRC mismatch or a mid-frame read timeout the worker
-    finishes its in-flight batch, then reconnects (with deterministic
+    EOF, a CRC mismatch or a mid-frame read timeout the worker runs no
+    further task of its in-flight batch, reconnects (with deterministic
     exponential backoff after a failed handshake), re-hellos with its
     worker id and pid, and re-sends the results the coordinator has
     not provably processed (a grant of a new lease is the proof).  A
     regrant of the same lease, which the coordinator sends on resume,
-    skips the tasks whose results are held.  The coordinator's
+    skips the tasks whose results are held and runs the rest.  A
+    Unix-socket worker whose parent process (the coordinator that
+    forked it) has exited stops at the next task boundary instead,
+    with exit code 3.  The coordinator's
     lease/epoch check decides whether a re-sent result is still
     trusted, so a duplicate can never corrupt an output.  A [Reject]
     at admission (bad version, bad token, a pid that is not the
@@ -41,10 +44,6 @@
     whichever worker, attempt, connection or job count executed the
     task. *)
 
-val partial_name : task:string -> lease:int -> epoch:int -> string
-(** Basename of the stamped capture file — shared with the
-    coordinator, which renames or deletes it. *)
-
 type transport =
   | Unix_sock of string  (** coordinator's Unix-domain socket path *)
   | Tcp of { host : string; port : int; token : string option }
@@ -56,16 +55,6 @@ val backoff_s : seed:int64 -> attempt:int -> float
     [min 3 (0.05 * 2^(attempt-1)) * (0.5 + u)] with [u] drawn from
     [Rng.derive seed attempt] — deterministic per worker, exponential,
     jittered so a fleet of workers does not reconnect in lockstep. *)
-
-val connect :
-  ?attempts:int -> seed:int64 -> transport -> Unix.file_descr option
-(** Dial the coordinator, creating a {e fresh} socket per attempt (a
-    failed [connect] leaves an fd in unspecified state; retrying on it
-    is EINVAL on some platforms) and sleeping {!backoff_s} between
-    attempts (default 10).  Only plausibly-transient errors
-    (ENOENT/ECONNREFUSED on startup races, reset/unreachable/timeout
-    on network blips) are retried.  TCP sockets get
-    [TCP_NODELAY]/[SO_KEEPALIVE]; all sockets are close-on-exec. *)
 
 val run :
   ?heartbeat_s:float ->

@@ -20,7 +20,6 @@ let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 
 type counter = {
-  c_name : string;
   cell : int Atomic.t;
 }
 
@@ -54,7 +53,7 @@ let counter name =
       match Hashtbl.find_opt counters_tbl name with
       | Some c -> c
       | None ->
-        let c = { c_name = name; cell = Atomic.make 0 } in
+        let c = { cell = Atomic.make 0 } in
         Hashtbl.add counters_tbl name c;
         c)
 
@@ -64,7 +63,6 @@ let incr c = add c 1
 
 let value c = Atomic.get c.cell
 
-let counter_name c = c.c_name
 
 let gauge name =
   with_lock (fun () ->

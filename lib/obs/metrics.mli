@@ -42,8 +42,6 @@ val add : counter -> int -> unit
 
 val value : counter -> int
 
-val counter_name : counter -> string
-
 (** {1 Gauges} — last-write-wins instantaneous values *)
 
 type gauge
@@ -57,10 +55,6 @@ val gauge_value : gauge -> float
 (** {1 Histograms} — fixed bucket bounds chosen at registration *)
 
 type histogram
-
-val default_buckets : float array
-(** Powers of two from [0.25] to [2^20]: covers spread times from
-    [Theta(log n)] on expanders to [Theta(n^2)] worst cases. *)
 
 val histogram : ?buckets:float array -> string -> histogram
 (** [buckets] are strictly increasing upper bounds; one overflow
@@ -90,9 +84,7 @@ module Shard : sig
 
   val incr : t -> counter -> unit
   (** No-op while the subsystem is disabled, like the global entry
-      points (likewise [add] and [observe]). *)
-
-  val add : t -> counter -> int -> unit
+      points (likewise [observe]). *)
 
   val observe : t -> histogram -> float -> unit
 
@@ -104,11 +96,6 @@ module Shard : sig
 end
 
 (** {1 Snapshots} *)
-
-val counters : unit -> (string * int) list
-(** Name-sorted counter values. *)
-
-val gauges : unit -> (string * float) list
 
 val snapshot : unit -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}], all

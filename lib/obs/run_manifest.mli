@@ -22,8 +22,6 @@
       "spans":   { Span.snapshot } }
     v} *)
 
-val schema : string
-
 type t = {
   kind : string;
   id : string;
@@ -52,8 +50,6 @@ val make :
   wall_s:float ->
   unit ->
   t
-
-val to_json : ?metrics:Json.t -> ?spans:Json.t -> t -> Json.t
 
 val write : ?with_registry:bool -> t -> unit
 (** Write [<id>.manifest.json] into the sink directory (no-op when no

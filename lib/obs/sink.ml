@@ -18,8 +18,6 @@ let set_dir d =
   (match d with Some d -> mkdir_p d | None -> ());
   Atomic.set out_dir d
 
-let dir () = Atomic.get out_dir
-
 let active () = Option.is_some (Atomic.get out_dir)
 
 (* File names derived from experiment ids / labels: keep them shell-

@@ -11,8 +11,6 @@
 val set_dir : string option -> unit
 (** Configure (and create) the output directory; [None] disables. *)
 
-val dir : unit -> string option
-
 val active : unit -> bool
 
 val append_jsonl : string -> Json.t -> unit

@@ -4,7 +4,6 @@
    workers on different domains can time themselves concurrently. *)
 
 type t = {
-  name : string;
   count : int Atomic.t;
   total_ns : int Atomic.t;
       (* int arithmetic: 62 bits of nanoseconds ~ 146 years, plenty *)
@@ -22,7 +21,7 @@ let create name =
       match Hashtbl.find_opt spans_tbl name with
       | Some s -> s
       | None ->
-        let s = { name; count = Atomic.make 0; total_ns = Atomic.make 0 } in
+        let s = { count = Atomic.make 0; total_ns = Atomic.make 0 } in
         Hashtbl.add spans_tbl name s;
         s)
 
@@ -42,11 +41,7 @@ let time s f =
   end
   else f ()
 
-let count s = Atomic.get s.count
-
 let total_s s = float_of_int (Atomic.get s.total_ns) *. 1e-9
-
-let name s = s.name
 
 let totals () =
   Mutex.lock registry_lock;

@@ -16,15 +16,9 @@ val time : t -> (unit -> 'a) -> 'a
     exceptions).  When the subsystem is disabled the thunk is invoked
     directly — no clock reads. *)
 
-val record_ns : t -> int -> unit
-(** Manually account a duration measured elsewhere. *)
-
-val count : t -> int
-
-val total_s : t -> float
-
-val name : t -> string
-
 val snapshot : unit -> Json.t
+(** Every registered span as [{"<name>": {"count", "total_s"}}], the
+    form run manifests record. *)
 
 val reset : unit -> unit
+(** Zero every span (handles stay valid). *)

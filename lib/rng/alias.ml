@@ -32,11 +32,8 @@ let create weights =
   (* Numerical leftovers keep probability 1. *)
   { prob; alias; weights = Array.copy weights; total }
 
-let size t = Array.length t.prob
-
 let sample t rng =
   let n = Array.length t.prob in
   let i = Rng.int rng n in
   if Rng.float rng < t.prob.(i) then i else t.alias.(i)
 
-let probability t i = t.weights.(i) /. t.total

@@ -14,10 +14,5 @@ val create : float array -> t
     @raise Invalid_argument if the array is empty, any weight is
     negative or non-finite, or all weights are zero. *)
 
-val size : t -> int
-
 val sample : t -> Rng.t -> int
 (** Index drawn with probability proportional to its weight. *)
-
-val probability : t -> int -> float
-(** Normalised probability of index [i] (for tests). *)

@@ -1,7 +1,3 @@
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Dist.exponential: rate must be positive";
-  -.log (Rng.float_pos t) /. rate
-
 (* Knuth's multiplicative method: exact, O(rate). *)
 let poisson_small t rate =
   let limit = exp (-.rate) in
@@ -47,31 +43,6 @@ let poisson t ~rate =
   if rate = 0. then 0
   else if rate < 10. then poisson_small t rate
   else poisson_ptrs t rate
-
-let geometric t ~p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: need 0 < p <= 1";
-  if p = 1. then 1
-  else
-    (* Inversion: ceil(log U / log(1-p)). *)
-    let u = Rng.float_pos t in
-    let k = Float.to_int (Float.ceil (log u /. log (1. -. p))) in
-    max 1 k
-
-let binomial t ~n ~p =
-  if n < 0 then invalid_arg "Dist.binomial: n must be non-negative";
-  if p < 0. || p > 1. then invalid_arg "Dist.binomial: p must be in [0,1]";
-  let count = ref 0 in
-  for _ = 1 to n do
-    if Rng.float t < p then incr count
-  done;
-  !count
-
-let uniform_float t ~lo ~hi =
-  if hi < lo then invalid_arg "Dist.uniform_float: hi < lo";
-  lo +. ((hi -. lo) *. Rng.float t)
-
-let poisson_process_count t ~rate ~horizon =
-  if horizon <= 0. || rate <= 0. then 0 else poisson t ~rate:(rate *. horizon)
 
 let nonhomogeneous_count t ~rate_at ~a ~b ~steps =
   if b <= a then 0

@@ -1,38 +1,12 @@
-(** Random variates for the distributions the paper's analysis lives on.
-
-    Exponential clocks drive the asynchronous protocol (Definition 1),
-    non-homogeneous Poisson counts drive the upper-bound proofs
-    (Theorem 2.1), and geometric phases appear in the dynamic-star
-    analysis (Lemmas 6.1/6.2). *)
-
-val exponential : Rng.t -> rate:float -> float
-(** [exponential t ~rate] draws [Exp(rate)] by inversion.
-    @raise Invalid_argument if [rate <= 0]. *)
+(** Poisson variates for the lemma checks (experiment L): Lemma 2.2's
+    Poisson lower tail and the non-homogeneous Poisson counts of
+    Theorem 2.1's upper-bound proof. *)
 
 val poisson : Rng.t -> rate:float -> int
 (** [poisson t ~rate] draws a Poisson variate.  Uses Knuth
     multiplication for small rates and the PTRS transformed-rejection
     sampler (Hörmann, 1993) for [rate >= 10].
     @raise Invalid_argument if [rate < 0]. *)
-
-val geometric : Rng.t -> p:float -> int
-(** [geometric t ~p] is the number of Bernoulli(p) trials up to and
-    including the first success (support [{1, 2, ...}]).
-    @raise Invalid_argument unless [0 < p <= 1]. *)
-
-val binomial : Rng.t -> n:int -> p:float -> int
-(** Sum of [n] Bernoulli(p); O(n) exact sampling (sufficient for the
-    sizes used here). @raise Invalid_argument if [n < 0] or [p] is
-    outside [[0, 1]]. *)
-
-val uniform_float : Rng.t -> lo:float -> hi:float -> float
-(** Uniform on [[lo, hi)]. @raise Invalid_argument if [hi < lo]. *)
-
-(** {1 Poisson-process helpers} *)
-
-val poisson_process_count : Rng.t -> rate:float -> horizon:float -> int
-(** Number of arrivals of a homogeneous Poisson process of [rate] in
-    [[0, horizon)], sampled directly as a Poisson variate. *)
 
 val nonhomogeneous_count :
   Rng.t -> rate_at:(float -> float) -> a:float -> b:float -> steps:int -> int

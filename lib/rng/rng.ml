@@ -45,20 +45,14 @@ let int t bound =
   in
   draw ()
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
-(* [float] and [bool] call the inlined [Xoshiro256.next] directly, so
-   the raw draw is never boxed. *)
+(* [float] calls the inlined [Xoshiro256.next] directly, so the raw
+   draw is never boxed. *)
 let float t =
   (* Top 53 bits -> [0, 1). *)
   let r = Int64.shift_right_logical (Xoshiro256.next t.gen) 11 in
   Int64.to_float r *. (1.0 /. 9007199254740992.0)
 
 let float_pos t = 1.0 -. float t
-
-let bool t = Int64.logand (Xoshiro256.next t.gen) 1L = 1L
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t < p
@@ -71,37 +65,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t k n =
-  if k < 0 || n < 0 || k > n then
-    invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";
-  if k = 0 then [||]
-  else if 2 * k >= n then begin
-    (* Dense case: partial Fisher-Yates over the full universe. *)
-    let a = Array.init n (fun i -> i) in
-    for i = 0 to k - 1 do
-      let j = int_in t i (n - 1) in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
-    done;
-    Array.sub a 0 k
-  end
-  else begin
-    (* Sparse case: rejection into a hash set. *)
-    let seen = Hashtbl.create (2 * k) in
-    let out = Array.make k 0 in
-    let filled = ref 0 in
-    while !filled < k do
-      let x = int t n in
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
-        out.(!filled) <- x;
-        incr filled
-      end
-    done;
-    out
-  end
 
 let choose t a =
   let n = Array.length a in

@@ -37,17 +37,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [{0, ..., bound-1}] without modulo
     bias.  @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform on [{lo, ..., hi}] inclusive.
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float
 (** Uniform on [[0, 1)], with 53 bits of precision. *)
 
 val float_pos : t -> float
 (** Uniform on [(0, 1]]; never returns 0, safe for [log]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to
@@ -55,11 +49,6 @@ val bernoulli : t -> float -> bool
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
-
-val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement t k n] draws [k] distinct elements of
-    [{0, ..., n-1}], in uniformly random order.
-    @raise Invalid_argument if [k < 0], [n < 0] or [k > n]. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

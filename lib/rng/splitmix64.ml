@@ -14,6 +14,3 @@ let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let child_seed = next t in
-  create child_seed

@@ -14,10 +14,6 @@ val create : int64 -> t
 val next : t -> int64
 (** Next raw 64-bit output; advances the state. *)
 
-val split : t -> t
-(** A child generator whose stream is (for all practical purposes)
-    independent of the parent's subsequent outputs. *)
-
 val golden_gamma : int64
 (** The Weyl-sequence increment [0x9E3779B97F4A7C15] (2^64 / phi).
     Exposed so that indexed derivation ({!Rumor_rng.Rng.derive}) can

@@ -33,26 +33,4 @@ let[@inline] next t =
   set t 24 (rotl s3 45);
   result
 
-let jump_constants =
-  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  Array.iter
-    (fun c ->
-      for b = 0 to 63 do
-        if Int64.logand c (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 (get t 0);
-          s1 := Int64.logxor !s1 (get t 8);
-          s2 := Int64.logxor !s2 (get t 16);
-          s3 := Int64.logxor !s3 (get t 24)
-        end;
-        ignore (next t)
-      done)
-    jump_constants;
-  set t 0 !s0;
-  set t 8 !s1;
-  set t 16 !s2;
-  set t 24 !s3
-
 let copy = Bytes.copy

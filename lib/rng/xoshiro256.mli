@@ -14,7 +14,4 @@ val of_seed : int64 -> t
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
-val jump : t -> unit
-(** Advance the state by [2^128] steps in place. *)
-
 val copy : t -> t

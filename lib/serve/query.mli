@@ -3,7 +3,7 @@
     replicate count and the quantile points to report.
 
     The canonical compact-JSON rendering ({!to_json}) is the
-    {!fingerprint} input, so two queries collide exactly when they
+    input of the cache {!key}, so two queries collide exactly when they
     would run the same sweep: unknown wire fields ([op], [stream])
     are dropped by {!of_json} and field order is fixed.  Execution
     ({!sweep}) goes through {!Rumor_sim.Run.async_spread_sweep} with
@@ -18,7 +18,7 @@ module Run = Rumor_sim.Run
 module Fault_plan = Rumor_faults.Fault_plan
 
 type t = {
-  family : string;  (** lower-case, one of {!Family.known} *)
+  family : string;  (** lower-case, one that {!Family.is_known} accepts *)
   n : int;
   rho : float;
   degree : int;
@@ -50,19 +50,9 @@ type t = {
   ci_level : float;  (** confidence level of the stopping CI (0.95) *)
 }
 
-val default_points : float list
-(** [[0.5; 0.9; 0.99]] *)
-
 val default : family:string -> n:int -> t
 (** The CLI's defaults: push–pull on the cut engine, rate 1, 30
-    replicates, seed 2020, no faults, {!default_points}. *)
-
-val validate : t -> (t, string) result
-
-val ci_cadence : int
-(** Replicates between the stopping checks of a [ci_width] query (16).
-    A property of the query, not of whoever runs it: rendered into the
-    canonical form of adaptive queries, never of fixed-count ones. *)
+    replicates, seed 2020, no faults, points [[0.5; 0.9; 0.99]]. *)
 
 val to_json : t -> Json.t
 (** Canonical rendering (fixed field order; [max_events] omitted when
@@ -73,11 +63,9 @@ val of_json : Json.t -> (t, string) result
 (** Parse a wire query: [family] and [n] are required, everything else
     defaults; unknown fields are ignored.  Validates. *)
 
-val fingerprint : t -> int64
-(** 64-bit FNV/SplitMix fold of the canonical rendering. *)
-
 val key : t -> string
-(** {!fingerprint} as 16 hex digits — the cache key.
+(** A 64-bit FNV/SplitMix fold of the canonical {!to_json} rendering,
+    as 16 hex digits — the cache key.
 
     One key, one answer: no [Server.config] field is in the
     fingerprint, and none can change the served sample.
@@ -89,19 +77,13 @@ val key : t -> string
       count.
     - [chunk]: paces partials and checkpoint saves of fixed-count
       queries, whose sample does not depend on chunking (prefix
-      property); a [ci_width] query stops at {!ci_cadence}, not at
-      [chunk].
+      property); a [ci_width] query checks its stopping rule every
+      [ci_cadence] = 16 replicates, not every [chunk].
     - [throttle_s]: a test hook that sleeps between chunks.
     - [max_n], [max_reps]: reject a query outright, never alter it.
     - [fsync]: durability only. *)
 
 val family_params : t -> Family.params
-
-val fault_plan : t -> Fault_plan.t
-(** Mirrors the [faults] subcommand: churn when [crash] or [recover]
-    is positive; the first [round(slow_frac*n)] nodes tick at
-    [slow_rate]; one partition window cutting off [round(part_frac*n)]
-    nodes when [part_until > part_from]. *)
 
 val sweep :
   ?jobs:int ->
@@ -120,7 +102,7 @@ val sweep :
     A query with [ci_width = Some w] runs
     {!Rumor_sim.Run.async_spread_sweep_adaptive} with
     [Adaptive.config ~level:ci_level ~min_reps:(min 16 reps)
-    ~max_reps:reps ~chunk:ci_cadence (Abs w)] and returns its decided
-    prefix.  It ignores [chunk]: its stopping point, like its key, is a
-    function of the query alone, and [on_chunk] fires every
-    {!ci_cadence} replicates. *)
+    ~max_reps:reps ~chunk:16 (Abs w)] and returns its decided prefix.
+    It ignores [chunk]: its stopping point, like its key, is a function
+    of the query alone, and [on_chunk] fires every 16 replicates (the
+    [ci_cadence] rendered into the query's canonical form). *)

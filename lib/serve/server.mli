@@ -43,7 +43,8 @@ type config = {
   jobs : int option;  (** sweep worker domains, [None] = pool default *)
   chunk : int;
       (** replicates per compute chunk of a fixed-count query; a
-          [ci_width] query runs at {!Query.ci_cadence} instead *)
+          [ci_width] query checks its stopping rule every 16
+          replicates instead *)
   read_timeout_s : float;  (** stalled-connection drop; 0 disables *)
   throttle_s : float;  (** test hook: sleep before each chunk *)
   max_n : int;

@@ -288,17 +288,7 @@ let create ?(protocol = Protocol.Push_pull) ?(rate = 1.0)
   rebuild_weights e;
   e
 
-let time e = e.tau
-
-let informed e = e.informed
-
 let informed_count e = Bitset.cardinal e.informed
-
-let informed_times e = e.times
-
-let is_complete e = Bitset.is_full e.informed
-
-let lost_count e = e.lost
 
 let cut_weight e v = Fenwick.get e.fenwick v
 

@@ -42,7 +42,6 @@
     rules or interventions.  [run] is implemented on the stepping
     interface and consumes the identical random-draw sequence. *)
 
-open Rumor_util
 open Rumor_rng
 open Rumor_dynamic
 open Rumor_faults
@@ -140,24 +139,10 @@ val next_event : engine -> event
 (** Advance to the next event.  After [Complete] has been returned,
     further calls keep returning it.  On a permanently disconnected
     network this yields an unbounded stream of [Step_boundary] events —
-    bound your loop by {!time} (as {!run} does with its horizon). *)
-
-val time : engine -> float
-(** Current simulation time. *)
-
-val informed : engine -> Bitset.t
-(** Live view of the informed set — do not mutate. *)
+    bound your loop by the step number (as {!run} bounds it by its
+    horizon). *)
 
 val informed_count : engine -> int
-
-val informed_times : engine -> float array
-(** Live per-node informing times ([nan] = not yet informed) — do not
-    mutate. *)
-
-val is_complete : engine -> bool
-
-val lost_count : engine -> int
-(** Messages dropped so far by the fault plan (0 without faults). *)
 
 (** {1 Weight-state introspection} — exposed for the differential
     tests comparing the delta and rebuild paths. *)

@@ -1,16 +1,5 @@
 open Rumor_util
 
-exception Horizon_exceeded of { horizon : float; informed : int }
-
-let () =
-  Printexc.register_printer (function
-    | Horizon_exceeded { horizon; informed } ->
-      Some
-        (Printf.sprintf
-           "Async_result.Horizon_exceeded(horizon %g, %d informed)" horizon
-           informed)
-    | _ -> None)
-
 type t = {
   time : float;
   complete : bool;
@@ -21,10 +10,3 @@ type t = {
   trace : (float * int) array;
   informed_times : float array;
 }
-
-let spread_time_exn r =
-  if r.complete then r.time
-  else
-    raise
-      (Horizon_exceeded
-         { horizon = r.time; informed = Bitset.cardinal r.informed })

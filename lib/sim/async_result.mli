@@ -2,13 +2,6 @@
 
 open Rumor_util
 
-exception Horizon_exceeded of { horizon : float; informed : int }
-(** Raised by {!spread_time_exn} on an incomplete run: [horizon] is the
-    time the run reached before it was cut off (time horizon or event
-    budget), [informed] how many nodes had the rumor by then.  Carrying
-    both lets callers degrade gracefully — e.g. fall back to a censored
-    sample — instead of parsing a [Failure] string. *)
-
 type t = {
   time : float;
       (** spread time when [complete]; time reached when the horizon
@@ -30,6 +23,3 @@ type t = {
           learned the rumor ([0.] for the source, [nan] if never).
           Always recorded. *)
 }
-
-val spread_time_exn : t -> float
-(** @raise Horizon_exceeded if the run did not complete. *)

@@ -1,4 +1,3 @@
-open Rumor_util
 open Rumor_rng
 
 type outcome = {
@@ -18,24 +17,6 @@ let validate clusters =
     clusters;
   if delta = 0 then invalid_arg "Coupling: empty clusters";
   delta
-
-let string_sets clusters =
-  let max_id =
-    Array.fold_left
-      (fun acc c -> Array.fold_left (fun a u -> max a u) acc c)
-      0 clusters
-  in
-  let members = Bitset.create (max_id + 1) in
-  let where = Hashtbl.create 64 in
-  Array.iteri
-    (fun ci cluster ->
-      Array.iteri
-        (fun ii u ->
-          ignore (Bitset.add members u);
-          Hashtbl.replace where u (ci, ii))
-        cluster)
-    clusters;
-  (members, where)
 
 (* Common tick-driven simulation over the string.  [targets ci] gives
    the clusters an informed node of cluster [ci] may push into. *)

@@ -18,7 +18,6 @@
     coupling inequality and the factorial bound can be checked
     directly (experiment L and the test suite). *)
 
-open Rumor_util
 open Rumor_rng
 
 type outcome = {
@@ -44,7 +43,3 @@ val factorial_bound : k:int -> delta:int -> float
     of informed [S_k] nodes at time 1. *)
 
 (**/**)
-
-val string_sets : int array array -> Bitset.t * (int, int * int) Hashtbl.t
-(** Internal: membership set over node ids and an id -> (cluster,
-    index) map, exposed for tests. *)

@@ -1,12 +1,9 @@
 open Rumor_dynamic
 module Obs = Rumor_obs.Metrics
-module Adaptive = Rumor_stats.Adaptive
-module Stream = Rumor_stats.Stream
 
 (* Telemetry (lib/obs). *)
 let m_calls = Obs.counter "estimate.calls"
 let m_censored_quantiles = Obs.counter "estimate.censored_quantiles"
-let m_adaptive_calls = Obs.counter "estimate.adaptive_calls"
 
 type t = {
   point : float;
@@ -70,112 +67,3 @@ let spread_time ?jobs ?(reps = 200) ?q ?horizon ?engine ?protocol ?rate ?faults
     in
     { point; ci_low; ci_high; q; samples; completed; censored; reps = mc.Run.reps }
   end
-
-let pp fmt t =
-  Format.fprintf fmt "q%.3f spread time %.3f [%.3f, %.3f] (%d/%d complete%s)"
-    t.q t.point t.ci_low t.ci_high t.completed t.reps
-    (if t.censored > 0 then Printf.sprintf ", %d censored" t.censored else "")
-
-(* --- adaptive mean estimate --- *)
-
-type adaptive = {
-  mean : float;
-  half_width : float;
-  level : float;
-  target_width : float;
-  consumed : int;
-  used : int;
-  saved : int;
-  reason : Adaptive.reason;
-  variance_ratio : float option;
-  beta : float option;
-}
-
-let spread_time_adaptive ?jobs ?horizon ?engine ?protocol ?rate ?faults
-    ?source ?max_events ?checkpoint ?deadline_s ?control ~config rng net =
-  Obs.incr m_adaptive_calls;
-  let a =
-    Run.async_spread_sweep_adaptive ?jobs ?horizon ?engine ?protocol ?rate
-      ?faults ?source ?max_events ?checkpoint ?deadline_s ?control ~config rng
-      net
-  in
-  ( {
-      mean = a.Run.mean;
-      half_width = a.Run.half_width;
-      level = a.Run.level;
-      target_width = a.Run.target_width;
-      consumed = a.Run.consumed;
-      used = a.Run.used;
-      saved = a.Run.max_reps - a.Run.consumed;
-      reason = a.Run.reason;
-      variance_ratio =
-        Option.map (fun c -> c.Adaptive.variance_ratio) a.Run.control;
-      beta = Option.map (fun c -> c.Adaptive.beta) a.Run.control;
-    },
-    a.Run.sweep )
-
-let pp_adaptive fmt a =
-  Format.fprintf fmt
-    "mean spread time %.3f ± %.3f (%.0f%% CI, target %.3f, %s after %d/%d \
-     reps%s)"
-    a.mean a.half_width (100. *. a.level) a.target_width
-    (match a.reason with
-    | Adaptive.Converged -> "converged"
-    | Adaptive.Budget -> "budget")
-    a.consumed (a.consumed + a.saved)
-    (match a.variance_ratio with
-    | Some vr -> Printf.sprintf ", cv %.1fx" vr
-    | None -> "")
-
-(* --- stratified-by-source estimate --- *)
-
-type stratified = {
-  mean : float;
-  half_width : float;
-  level : float;
-  sources : int array;
-  allocation : int array;
-  per_stratum : (float * float * int) array;
-}
-
-let stratum_stats mc =
-  let s = Stream.create () in
-  Array.iter (Stream.add s) mc.Run.times;
-  (Stream.mean s, Stream.stddev s, Stream.count s)
-
-let stratified_spread_time ?jobs ?horizon ?engine ?protocol ?rate
-    ?(level = 0.95) ?(pilot = 8) ?(min_per = 4) ~budget ~sources rng net =
-  let k = Array.length sources in
-  if k = 0 then invalid_arg "Estimate.stratified_spread_time: no sources";
-  (* Pilot pass sizes the Neyman allocation; the final pass draws fresh
-     index-keyed streams, so the estimate stays bit-identical for any
-     [jobs] (the rng is consumed in fixed stratum order). *)
-  let sds =
-    Array.map
-      (fun source ->
-        let mc =
-          Run.async_spread_times ?jobs ~reps:pilot ?horizon ?engine ?protocol
-            ?rate ~source rng net
-        in
-        let _, sd, _ = stratum_stats mc in
-        sd)
-      sources
-  in
-  let allocation = Adaptive.Strata.neyman ~budget ~min_per ~sds in
-  let per_stratum =
-    Array.mapi
-      (fun i source ->
-        let mc =
-          Run.async_spread_times ?jobs ~reps:allocation.(i) ?horizon ?engine
-            ?protocol ?rate ~source rng net
-        in
-        stratum_stats mc)
-      sources
-  in
-  let means = Array.map (fun (m, _, _) -> m) per_stratum in
-  let f_sds = Array.map (fun (_, s, _) -> s) per_stratum in
-  let counts = Array.map (fun (_, _, c) -> c) per_stratum in
-  let mean, half_width =
-    Adaptive.Strata.combine ~level ~means ~sds:f_sds ~counts
-  in
-  { mean; half_width; level; sources; allocation; per_stratum }

@@ -30,10 +30,6 @@ type t = {
   reps : int;
 }
 
-val whp_quantile : n:int -> float
-(** The quantile matching the paper's w.h.p. convention at finite [n]:
-    [1 - 1/n], clamped to [0.999]. *)
-
 val spread_time :
   ?jobs:int ->
   ?reps:int ->
@@ -49,8 +45,10 @@ val spread_time :
   Dynet.t ->
   t
 (** [spread_time rng net] runs [reps] (default 200) repetitions and
-    estimates the [q]-quantile (default {!whp_quantile}) with a
-    bootstrap [level] (default 0.95) confidence interval.  [rate] and
+    estimates the [q]-quantile with a bootstrap [level] (default 0.95)
+    confidence interval.  The default [q] matches the paper's w.h.p.
+    convention at finite [n]: [1 - 1/n], clamped to [0.999] ([0.5]
+    below two nodes).  [rate] and
     [faults] are forwarded to the engine (the E13 thinning self-check
     compares loss [p] against rate [1-p]); [jobs] is forwarded to the
     replicate pool (the estimate is bit-identical for any value).
@@ -62,79 +60,3 @@ val spread_time :
     of silently understating the spread time; otherwise censoring
     cannot move the quantile and the usual estimate is returned with
     [censored] surfaced. *)
-
-val pp : Format.formatter -> t -> unit
-
-(** {1 Adaptive mean estimate}
-
-    Sequential stopping over the hardened sweep (see
-    {!Run.async_spread_sweep_adaptive}): the estimand here is the
-    {e mean} spread time — the CLT quantity the CI half-width targets —
-    not the w.h.p. quantile above. *)
-
-type adaptive = {
-  mean : float;  (** control-variate adjusted when one was supplied *)
-  half_width : float;
-  level : float;
-  target_width : float;
-  consumed : int;  (** replicates actually run *)
-  used : int;  (** finished replicates in the estimator *)
-  saved : int;  (** budget left unspent ([max_reps - consumed]) *)
-  reason : Rumor_stats.Adaptive.reason;
-  variance_ratio : float option;  (** control-variate savings factor *)
-  beta : float option;
-}
-
-val spread_time_adaptive :
-  ?jobs:int ->
-  ?horizon:float ->
-  ?engine:Run.engine ->
-  ?protocol:Protocol.t ->
-  ?rate:float ->
-  ?faults:Fault_plan.t ->
-  ?source:int ->
-  ?max_events:int ->
-  ?checkpoint:string ->
-  ?deadline_s:float ->
-  ?control:Rumor_graph.Graph.t ->
-  config:Rumor_stats.Adaptive.config ->
-  Rng.t ->
-  Dynet.t ->
-  adaptive * Run.sweep
-(** The summary plus the decided replicate prefix (for quantiles or
-    persistence — it is a valid {!Run.sweep} in its own right). *)
-
-val pp_adaptive : Format.formatter -> adaptive -> unit
-
-(** {1 Stratified-by-source estimate} *)
-
-type stratified = {
-  mean : float;  (** equal-weight stratified mean over the sources *)
-  half_width : float;
-  level : float;
-  sources : int array;
-  allocation : int array;  (** Neyman allocation actually run *)
-  per_stratum : (float * float * int) array;  (** (mean, sd, reps) each *)
-}
-
-val stratified_spread_time :
-  ?jobs:int ->
-  ?horizon:float ->
-  ?engine:Run.engine ->
-  ?protocol:Protocol.t ->
-  ?rate:float ->
-  ?level:float ->
-  ?pilot:int ->
-  ?min_per:int ->
-  budget:int ->
-  sources:int array ->
-  Rng.t ->
-  Dynet.t ->
-  stratified
-(** Stratify the replicate budget across starting [sources]: a [pilot]
-    pass (default 8 reps per stratum) estimates per-stratum sds, the
-    remaining budget is Neyman-allocated proportionally to them (at
-    least [min_per], default 4, each), and the final pass's per-stratum
-    means combine into an equal-weight stratified estimate.  Times use
-    the classic convention (censored replicates contribute the horizon
-    value).  @raise Invalid_argument on an empty [sources]. *)

@@ -8,15 +8,6 @@ let callee_informs_caller = function
   | Pull | Push_pull -> true
   | Push -> false
 
-let apply t ~caller_informed ~callee_informed =
-  let callee' =
-    callee_informed || (caller_informed && caller_informs_callee t)
-  in
-  let caller' =
-    caller_informed || (callee_informed && callee_informs_caller t)
-  in
-  (caller', callee')
-
 let to_string = function
   | Push -> "push"
   | Pull -> "pull"

@@ -14,10 +14,6 @@ val caller_informs_callee : t -> bool
 
 val callee_informs_caller : t -> bool
 
-val apply :
-  t -> caller_informed:bool -> callee_informed:bool -> bool * bool
-(** [(new_caller_informed, new_callee_informed)] after the contact. *)
-
 val to_string : t -> string
 
 val all : t list

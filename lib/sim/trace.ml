@@ -1,16 +1,5 @@
 type t = (float * int) array
 
-let validate tr ~n =
-  if Array.length tr = 0 then invalid_arg "Trace.validate: empty trajectory";
-  let _, c0 = tr.(0) in
-  if c0 < 1 then invalid_arg "Trace.validate: must start informed";
-  for i = 1 to Array.length tr - 1 do
-    let t0, n0 = tr.(i - 1) and t1, n1 = tr.(i) in
-    if t1 < t0 then invalid_arg "Trace.validate: time not monotone";
-    if n1 <= n0 then invalid_arg "Trace.validate: count not increasing";
-    if n1 > n then invalid_arg "Trace.validate: count exceeds n"
-  done
-
 let time_to_count tr target =
   let found = ref None in
   Array.iter

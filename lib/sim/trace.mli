@@ -12,14 +12,6 @@ type t = (float * int) array
     count, non-decreasing in time, starting at the source's
     [(0., 1)]. *)
 
-val validate : t -> n:int -> unit
-(** @raise Invalid_argument if the trajectory is empty, not monotone,
-    or exceeds [n]. *)
-
-val time_to_count : t -> int -> float option
-(** First time at which the informed count reaches the given value
-    ([None] if the run ended earlier). *)
-
 val per_step_progress : t -> int array
 (** Informed-count deltas bucketed by dynamic step: entry [s] is how
     many nodes were informed during [[s, s+1)).  Length is the number

@@ -146,56 +146,3 @@ let control_variate ?(control_mean = 0.) ~values ~controls () =
         in
         { beta; adjusted; mean = adj_mean; sd = adj_sd; variance_ratio }
     end
-
-module Strata = struct
-  let neyman ~budget ~min_per ~sds =
-    let k = Array.length sds in
-    if k = 0 then invalid_arg "Adaptive.Strata.neyman: empty sds";
-    if budget < 0 then invalid_arg "Adaptive.Strata.neyman: negative budget";
-    if min_per < 0 then invalid_arg "Adaptive.Strata.neyman: negative min_per";
-    let weights =
-      Array.map (fun s -> if Float.is_finite s && s > 0. then s else 0.) sds
-    in
-    let total_w = Array.fold_left ( +. ) 0. weights in
-    let weights =
-      if total_w > 0. then Array.map (fun w -> w /. total_w) weights
-      else Array.make k (1. /. float_of_int k)
-    in
-    let alloc = Array.make k min_per in
-    let spare = max 0 (budget - (min_per * k)) in
-    if spare > 0 then begin
-      (* Largest-remainder rounding of spare * weights. *)
-      let exact = Array.map (fun w -> w *. float_of_int spare) weights in
-      let floors = Array.map (fun e -> int_of_float (Float.floor e)) exact in
-      let assigned = Array.fold_left ( + ) 0 floors in
-      let order = Array.init k (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          compare
-            (exact.(j) -. Float.of_int floors.(j))
-            (exact.(i) -. Float.of_int floors.(i)))
-        order;
-      let leftover = spare - assigned in
-      Array.iteri (fun rank i -> if rank < leftover then floors.(i) <- floors.(i) + 1) order;
-      Array.iteri (fun i f -> alloc.(i) <- alloc.(i) + f) floors
-    end;
-    alloc
-
-  let combine ~level ~means ~sds ~counts =
-    let k = Array.length means in
-    if k = 0 then invalid_arg "Adaptive.Strata.combine: empty input";
-    if Array.length sds <> k || Array.length counts <> k then
-      invalid_arg "Adaptive.Strata.combine: length mismatch";
-    let mean = Array.fold_left ( +. ) 0. means /. float_of_int k in
-    let var_sum = ref 0. in
-    let ok = ref true in
-    for i = 0 to k - 1 do
-      if counts.(i) < 2 || not (Float.is_finite sds.(i)) then ok := false
-      else var_sum := !var_sum +. (sds.(i) *. sds.(i) /. float_of_int counts.(i))
-    done;
-    let hw =
-      if !ok then z_of_level level /. float_of_int k *. sqrt !var_sum
-      else infinity
-    in
-    (mean, hw)
-end

@@ -43,11 +43,6 @@ val config :
     [chunk = 16].  @raise Invalid_argument on a non-positive width or
     chunk, [level] outside (0, 1), or [min_reps > max_reps]. *)
 
-val z_of_level : float -> float
-(** Two-sided normal critical value: [z_of_level 0.95 = 1.9600],
-    [z_of_level 0.99 = 2.5758] (Acklam's inverse-normal approximation,
-    absolute error < 1.2e-9).  @raise Invalid_argument outside (0,1). *)
-
 val half_width : level:float -> count:int -> sd:float -> float
 (** [z(level) * sd / sqrt count]; [infinity] when [count < 2] or [sd]
     is not finite. *)
@@ -100,29 +95,3 @@ val control_variate :
     zero control variance, non-finite moments) fall back to
     [beta = 0] — the unadjusted estimator — rather than raising.
     @raise Invalid_argument on length mismatch. *)
-
-(** {1 Stratified allocation}
-
-    Neyman allocation: given per-stratum standard deviations, spend a
-    replicate budget proportionally to [sd] (the variance-optimal split
-    for an equal-weight stratified mean). *)
-
-module Strata : sig
-  val neyman : budget:int -> min_per:int -> sds:float array -> int array
-  (** Largest-remainder rounding of the Neyman proportions, after
-      granting every stratum [min_per]; all-zero (or non-finite) sds
-      degrade to an even split.  The result always sums to
-      [max budget (min_per * strata)].
-      @raise Invalid_argument on an empty [sds], negative budget or
-      negative [min_per]. *)
-
-  val combine :
-    level:float -> means:float array -> sds:float array ->
-    counts:int array -> float * float
-  (** Equal-weight stratified estimate: [(mean, half_width)] where the
-      mean averages the per-stratum means and the half-width propagates
-      the per-stratum standard errors
-      ([z/K * sqrt (sum sd_k^2 / n_k)]).  Strata with [counts < 2]
-      make the half-width [infinity].
-      @raise Invalid_argument on length mismatch or empty input. *)
-end

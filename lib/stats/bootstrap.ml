@@ -16,6 +16,3 @@ let ci ?(replicates = 1000) rng ~statistic xs ~level =
   match Quantile.quantiles stats [ alpha; 1. -. alpha ] with
   | [ lo; hi ] -> (lo, hi)
   | _ -> assert false
-
-let mean_ci ?replicates rng xs ~level =
-  ci ?replicates rng ~statistic:Descriptive.mean xs ~level

@@ -1,8 +1,8 @@
 (** Percentile-bootstrap confidence intervals.
 
     Used by the experiment harness when the Monte-Carlo sample of
-    spread times is small or skewed (so the normal approximation in
-    {!Descriptive.mean_ci95} would be dubious). *)
+    spread times is small or skewed (so a normal-approximation
+    interval would be dubious). *)
 
 open Rumor_rng
 
@@ -19,5 +19,3 @@ val ci :
     [~level:0.95]).
     @raise Invalid_argument on an empty sample or a level outside
     (0, 1). *)
-
-val mean_ci : ?replicates:int -> Rng.t -> float array -> level:float -> float * float

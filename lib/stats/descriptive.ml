@@ -38,8 +38,3 @@ let min xs =
 let max xs =
   require_nonempty "Descriptive.max" xs;
   Array.fold_left Float.max xs.(0) xs
-
-let mean_ci95 xs =
-  let mu = mean xs in
-  let half = 1.96 *. std_error xs in
-  (mu -. half, mu +. half)

@@ -3,9 +3,6 @@
     Sums use Kahan compensation so the Monte-Carlo aggregations stay
     stable across tens of thousands of repetitions. *)
 
-val sum : float array -> float
-(** Kahan-compensated sum; [0.] on the empty array. *)
-
 val mean : float array -> float
 (** @raise Invalid_argument on the empty array. *)
 
@@ -23,7 +20,3 @@ val min : float array -> float
 
 val max : float array -> float
 (** @raise Invalid_argument on the empty array. *)
-
-val mean_ci95 : float array -> float * float
-(** Normal-approximation 95% confidence interval for the mean,
-    [(lo, hi)]. *)

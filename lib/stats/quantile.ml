@@ -20,15 +20,14 @@ let quantile xs q =
   Array.sort compare sorted;
   quantile_sorted sorted q
 
-let median xs = quantile xs 0.5
-
 let quantiles xs qs =
   List.iter (fun q -> check xs q) qs;
   let sorted = Array.copy xs in
   Array.sort compare sorted;
   List.map (quantile_sorted sorted) qs
 
-let iqr xs =
-  match quantiles xs [ 0.25; 0.75 ] with
-  | [ q1; q3 ] -> q3 -. q1
-  | _ -> assert false
+let empirical_tail xs x =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Quantile.empirical_tail: empty sample";
+  let c = Array.fold_left (fun acc v -> if v > x then acc + 1 else acc) 0 xs in
+  float_of_int c /. float_of_int n

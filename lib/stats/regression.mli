@@ -11,12 +11,8 @@ type fit = {
   r_squared : float;  (** 1.0 when only two points or a perfect fit *)
 }
 
-val linear : (float * float) list -> fit
-(** Ordinary least squares on [(x, y)] pairs.
-    @raise Invalid_argument with fewer than two points or zero x
-    variance. *)
-
 val log_log : (float * float) list -> fit
-(** Fit on [(log x, log y)]; the slope is the empirical growth
-    exponent.  Points with non-positive coordinates are rejected.
-    @raise Invalid_argument as {!linear}, or on non-positive data. *)
+(** Ordinary least squares on [(log x, log y)]; the slope is the
+    empirical growth exponent.
+    @raise Invalid_argument with fewer than two points, zero variance
+    in [log x], or a non-positive coordinate. *)

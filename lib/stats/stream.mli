@@ -12,8 +12,6 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** [nan] when empty. *)
 
@@ -22,9 +20,6 @@ val variance : t -> float
 
 val stddev : t -> float
 (** [sqrt variance]; [nan] below two samples. *)
-
-val min : t -> float
-(** [nan] when empty. *)
 
 val max : t -> float
 (** [nan] when empty. *)

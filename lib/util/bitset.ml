@@ -52,26 +52,7 @@ let remove s i =
     true
   end
 
-let clear s =
-  Array.fill s.words 0 (Array.length s.words) 0;
-  s.card <- 0
-
 let copy s = { s with words = Array.copy s.words }
-
-let complement_into src dst =
-  if src.capacity <> dst.capacity then
-    invalid_arg "Bitset.complement_into: capacity mismatch";
-  let n = src.capacity in
-  for w = 0 to Array.length src.words - 1 do
-    dst.words.(w) <- lnot src.words.(w)
-  done;
-  (* Mask off the bits beyond the capacity in the last word. *)
-  let rem = n mod bits_per_word in
-  if rem <> 0 then begin
-    let last = Array.length dst.words - 1 in
-    dst.words.(last) <- dst.words.(last) land ((1 lsl rem) - 1)
-  end;
-  dst.card <- n - src.card
 
 let iter f s =
   for i = 0 to s.capacity - 1 do
@@ -86,25 +67,4 @@ let fold f s init =
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
-let of_list n members =
-  let s = create n in
-  List.iter (fun i -> ignore (add s i)) members;
-  s
-
 let is_full s = s.card = s.capacity
-
-let equal a b =
-  a.capacity = b.capacity && a.card = b.card
-  &&
-  let same = ref true in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) <> b.words.(w) then same := false
-  done;
-  !same
-
-let pp fmt s =
-  Format.fprintf fmt "{@[%a@]}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       Format.pp_print_int)
-    (to_list s)

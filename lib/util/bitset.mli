@@ -27,15 +27,8 @@ val add : t -> int -> bool
 val remove : t -> int -> bool
 (** [remove s i] deletes [i]; returns [true] iff [i] was a member. *)
 
-val clear : t -> unit
-(** Remove all members. *)
-
 val copy : t -> t
 (** Independent copy. *)
-
-val complement_into : t -> t -> unit
-(** [complement_into src dst] sets [dst] to the complement of [src].
-    Both must share the same capacity. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
@@ -46,12 +39,5 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 (** Members in increasing order. *)
 
-val of_list : int -> int list -> t
-(** [of_list n members] builds a set over [{0, ..., n-1}]. *)
-
 val is_full : t -> bool
 (** [is_full s] iff every element of the universe is a member. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (* CRC-32/ISO-HDLC: reflected polynomial 0xEDB88320, init and final
    xor 0xFFFFFFFF.  The byte-at-a-time table is built once at module
-   initialisation; [update] is a tight loop over it. *)
+   initialisation; [digest] is a tight loop over it. *)
 
 let table =
   lazy
@@ -14,24 +14,16 @@ let table =
          done;
          !c))
 
-let init = 0xFFFFFFFFl
-
-let update state s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.update: range out of bounds";
+let digest s =
   let table = Lazy.force table in
-  let c = ref state in
-  for i = pos to pos + len - 1 do
+  let c = ref 0xFFFFFFFFl in
+  for i = 0 to String.length s - 1 do
     let idx =
       Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (String.unsafe_get s i)))) 0xFFl)
     in
     c := Int32.logxor (Array.unsafe_get table idx) (Int32.shift_right_logical !c 8)
   done;
-  !c
-
-let finish state = Int32.logxor state 0xFFFFFFFFl
-
-let digest s = finish (update init s ~pos:0 ~len:(String.length s))
+  Int32.logxor !c 0xFFFFFFFFl
 
 let to_hex c = Printf.sprintf "%08lx" c
 

@@ -9,20 +9,8 @@
 
     Reference vector: [digest "123456789" = 0xCBF43926l]. *)
 
-val update : int32 -> string -> pos:int -> len:int -> int32
-(** Fold [len] bytes of [s] starting at [pos] into a running CRC
-    state.  Start from {!init}; finish with {!finish} (the state is
-    the one's-complemented register, as usual).
-    @raise Invalid_argument on an out-of-bounds range. *)
-
-val init : int32
-(** Initial running state. *)
-
-val finish : int32 -> int32
-(** Close a running state into the final digest. *)
-
 val digest : string -> int32
-(** One-shot CRC-32 of a whole string. *)
+(** CRC-32 of a whole string. *)
 
 val to_hex : int32 -> string
 (** Lower-case, zero-padded 8-character hex rendering. *)

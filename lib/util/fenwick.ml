@@ -8,8 +8,6 @@ let create n =
   if n < 0 then invalid_arg "Fenwick.create: negative size";
   { n; tree = Array.make (n + 1) 0.; raw = Array.make (max 1 n) 0. }
 
-let size t = t.n
-
 let get t i =
   if i < 0 || i >= t.n then invalid_arg "Fenwick.get: index out of range";
   t.raw.(i)
@@ -115,7 +113,3 @@ let fill_from t weights =
     let parent = i + (i land -i) in
     if parent <= t.n then t.tree.(parent) <- t.tree.(parent) +. t.tree.(i)
   done
-
-let clear t =
-  Array.fill t.tree 0 (t.n + 1) 0.;
-  Array.fill t.raw 0 (Array.length t.raw) 0.

@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** [create n]: [n] slots, all zero. *)
 
-val size : t -> int
-
 val get : t -> int -> float
 (** Current weight of a slot. *)
 
@@ -19,18 +17,14 @@ val set : t -> int -> float -> unit
 (** Overwrite a slot's weight. @raise Invalid_argument if the weight is
     negative or not finite. *)
 
-val add : t -> int -> float -> unit
-(** Add to a slot's weight (the result must stay >= -1e-9; tiny
-    negative residue from float cancellation is clamped to zero). *)
-
 val add_many : t -> int array -> float array -> int -> unit
-(** [add_many t slots deltas k] is [add t slots.(j) deltas.(j)] for
-    [j = 0 .. k-1], in that order.  Allocates nothing, even where the
-    caller cannot inline {!add} (a separately compiled caller passes a
-    float argument boxed): the engines' per-neighbour updates go
-    through here.
-    @raise Invalid_argument if [k] exceeds either array's length, or
-    as {!add} does. *)
+(** [add_many t slots deltas k] adds [deltas.(j)] to the weight of slot
+    [slots.(j)] for [j = 0 .. k-1], in that order.  Each result must
+    stay [>= -1e-9]; tiny negative residue from float cancellation is
+    clamped to zero.  Allocates nothing (a separately compiled caller
+    would otherwise pass each float boxed): the engines' per-neighbour
+    updates go through here.
+    @raise Invalid_argument if [k] exceeds either array's length. *)
 
 val set_many : t -> int array -> float array -> int -> unit
 (** [set_many t slots weights k] is [set t slots.(j) weights.(j)] for
@@ -52,5 +46,3 @@ val find : t -> float -> int
 val fill_from : t -> float array -> unit
 (** Bulk-load weights in O(n). @raise Invalid_argument on a length
     mismatch or invalid weight. *)
-
-val clear : t -> unit

@@ -24,8 +24,6 @@ let add_row t row =
          (List.length t.headers) (List.length row));
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let headers t = t.headers
 
 let rows t = List.rev t.rows

@@ -17,20 +17,16 @@ val create : ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on arity mismatch with the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val headers : t -> string list
 
 val rows : t -> string list list
 (** Rows in insertion order — the observability sinks re-emit them as
     structured (JSONL) records next to the printed table. *)
 
-val render : t -> string
-(** Multi-line rendering with a header separator, ready to print. *)
-
 val print : ?title:string -> t -> unit
-(** [print t] writes the rendered table (preceded by [title], if any)
-    to stdout, followed by a blank line. *)
+(** [print t] writes the table to stdout, columns aligned under a
+    header separator, preceded by [title] (if any) and followed by a
+    blank line. *)
 
 (** Cell formatting helpers used across experiments. *)
 

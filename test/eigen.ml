@@ -1,3 +1,13 @@
+(* Dense symmetric eigensolver (cyclic Jacobi rotations), kept as an
+   independent oracle for the library's spectral code: for graphs up to
+   a few hundred nodes it computes the full spectrum of the normalized
+   adjacency operator, so tests can check [Spectral]'s power-iteration
+   gap and the Cheeger sandwich around [Cut.conductance_exact] against
+   exact values.  Classical spectra (cycle, complete graph, hypercube,
+   complete bipartite) pin it down in test_spectral_walk. *)
+
+open Rumor_core.Rumor
+
 let check_symmetric a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Eigen.jacobi: empty matrix";

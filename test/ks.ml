@@ -1,3 +1,11 @@
+(* Two-sample Kolmogorov-Smirnov test: the statistic
+   [D = sup |F1 - F2|] with the asymptotic Kolmogorov p-value.  The
+   tests use it to compare whole spread-time distributions (engine
+   against engine, simulator against an exact law), not just means.
+   [critical_value ~n1 ~n2 ~alpha] is the rejection threshold
+   [c(alpha) sqrt((n1+n2)/(n1 n2))] with
+   [c(alpha) = sqrt(-ln(alpha/2)/2)]. *)
+
 type result = {
   statistic : float;
   p_value : float;

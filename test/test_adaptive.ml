@@ -1,6 +1,5 @@
-(* Adaptive Monte-Carlo engine: sequential stopping, control variates,
-   stratified allocation — and their wiring through Run, Estimate and
-   the serve query.
+(* Adaptive Monte-Carlo engine: sequential stopping and control
+   variates — and their wiring through Run and the serve query.
 
    The load-bearing contracts under test:
    - the pure stopping rule (Stats.Adaptive) is correct at its edges
@@ -25,15 +24,18 @@ let near tol = Alcotest.float tol
 (* --- z_of_level / half_width / target --- *)
 
 let test_z_of_level () =
-  check (near 1e-3) "z(0.95)" 1.9600 (Adaptive.z_of_level 0.95);
-  check (near 1e-3) "z(0.99)" 2.5758 (Adaptive.z_of_level 0.99);
-  check (near 1e-3) "z(0.68) ~ 1 sigma" 0.9945 (Adaptive.z_of_level 0.68);
+  (* With sd = 2 over 4 values, sd / sqrt count = 1: the half-width is
+     the two-sided normal critical value itself. *)
+  let z level = Adaptive.half_width ~level ~count:4 ~sd:2. in
+  check (near 1e-3) "z(0.95)" 1.9600 (z 0.95);
+  check (near 1e-3) "z(0.99)" 2.5758 (z 0.99);
+  check (near 1e-3) "z(0.68) ~ 1 sigma" 0.9945 (z 0.68);
   Alcotest.check_raises "level 0 rejected"
     (Invalid_argument "Adaptive.z_of_level: level must lie in (0, 1)")
-    (fun () -> ignore (Adaptive.z_of_level 0.));
+    (fun () -> ignore (z 0.));
   Alcotest.check_raises "level 1 rejected"
     (Invalid_argument "Adaptive.z_of_level: level must lie in (0, 1)")
-    (fun () -> ignore (Adaptive.z_of_level 1.))
+    (fun () -> ignore (z 1.))
 
 let test_half_width () =
   (* z * sd / sqrt n, with the unusable cases pinned to infinity so the
@@ -129,7 +131,7 @@ let test_run_driver () =
       ~config:
         (Adaptive.config ~min_reps:4 ~max_reps:12 ~chunk:4 (Adaptive.Abs 0.1))
       (Rng.create 9)
-      (Dynet.of_static (Graph.of_edges 4 [ (0, 1) ]))
+      (Dynet.of_static (Fixtures.of_edges 4 [ (0, 1) ]))
   in
   check int "all-censored consumes the budget" 12 r2.Run.consumed;
   check int "no usable sample" 0 r2.Run.used;
@@ -212,42 +214,6 @@ let test_control_variate_degenerate () =
     (Invalid_argument "Adaptive.control_variate: length mismatch") (fun () ->
       ignore
         (Adaptive.control_variate ~values:[| 1. |] ~controls:[| 1.; 2. |] ()))
-
-(* --- stratified allocation --- *)
-
-let test_neyman () =
-  (* sds 1:3 with budget 40 -> 10/30. *)
-  check bool "proportional split" true
-    (Adaptive.Strata.neyman ~budget:40 ~min_per:1 ~sds:[| 1.; 3. |]
-    = [| 10; 30 |]);
-  (* min_per floors a zero-sd stratum. *)
-  let a = Adaptive.Strata.neyman ~budget:20 ~min_per:2 ~sds:[| 0.; 1. |] in
-  check int "zero-sd stratum floored" 2 a.(0);
-  check int "rest to the informative stratum" 18 a.(1);
-  (* All-zero sds degrade to an even split. *)
-  check bool "even-split degradation" true
-    (Adaptive.Strata.neyman ~budget:12 ~min_per:1 ~sds:[| 0.; 0.; 0. |]
-    = [| 4; 4; 4 |]);
-  (* Sum always equals max budget (min_per * strata). *)
-  let sds = [| 0.3; 2.7; 1.1; 0.; 5.2 |] in
-  let alloc = Adaptive.Strata.neyman ~budget:97 ~min_per:3 ~sds in
-  check int "largest-remainder sum" 97 (Array.fold_left ( + ) 0 alloc);
-  Array.iter (fun k -> check bool "floor respected" true (k >= 3)) alloc
-
-let test_strata_combine () =
-  let mean, hw =
-    Adaptive.Strata.combine ~level:0.95 ~means:[| 2.; 4. |] ~sds:[| 1.; 1. |]
-      ~counts:[| 100; 100 |]
-  in
-  check (near 1e-9) "equal-weight mean" 3. mean;
-  check (near 1e-4) "propagated half-width"
-    (1.959964 /. 2. *. sqrt (2. /. 100.))
-    hw;
-  let _, hw1 =
-    Adaptive.Strata.combine ~level:0.95 ~means:[| 2.; 4. |] ~sds:[| 1.; 1. |]
-      ~counts:[| 1; 100 |]
-  in
-  check flt "a 1-count stratum makes the width infinite" infinity hw1
 
 (* --- adaptive sweep: prefix bit-identity and convergence --- *)
 
@@ -347,7 +313,7 @@ let test_sweep_control_guards () =
 let test_sweep_all_censored () =
   (* Unreachable nodes: every replicate censors; the adaptive sweep
      must burn the whole budget and report nan, never converge. *)
-  let disconnected = Dynet.of_static (Graph.of_edges 4 [ (0, 1) ]) in
+  let disconnected = Dynet.of_static (Fixtures.of_edges 4 [ (0, 1) ]) in
   let config =
     Adaptive.config ~min_reps:4 ~max_reps:24 ~chunk:8 (Adaptive.Abs 0.1)
   in
@@ -372,10 +338,11 @@ let test_sweep_replicate_savings () =
   let budget = 256 in
   let net = Dynet.of_static (Gen.clique 256) in
   let fixed = Run.async_spread_sweep ~reps:budget (Rng.create seed) net in
+  let usable = Run.usable_times fixed in
   let s = Stream.create () in
-  Array.iter (Stream.add s) (Run.usable_times fixed);
+  Array.iter (Stream.add s) usable;
   let fixed_hw =
-    Adaptive.half_width ~level:0.95 ~count:(Stream.count s)
+    Adaptive.half_width ~level:0.95 ~count:(Array.length usable)
       ~sd:(Stream.stddev s)
   in
   let config =
@@ -429,58 +396,17 @@ let test_rao_blackwell_time () =
        (Run.rao_blackwell_time g ~informed_times:[| 0.; 0.5; infinity |]));
   (* Impossible trajectory (informing jump across a cut with no edges):
      path 0-1-2 cannot inform 2 before 1. *)
-  let path = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
+  let path = Fixtures.of_edges 3 [ (0, 1); (1, 2) ] in
   check bool "zero-rate event -> nan" true
     (Float.is_nan
        (Run.rao_blackwell_time path ~informed_times:[| 0.; 0.9; 0.5 |]));
   (* ... and an isolated node can never be informed at all. *)
-  let isolated = Graph.of_edges 3 [ (0, 1) ] in
+  let isolated = Fixtures.of_edges 3 [ (0, 1) ] in
   check bool "isolated node -> nan" true
     (Float.is_nan
        (Run.rao_blackwell_time isolated ~informed_times:[| 0.; 0.5; 0.9 |]))
 
 (* --- Estimate wiring --- *)
-
-let test_estimate_adaptive () =
-  let config =
-    Adaptive.config ~min_reps:16 ~max_reps:256 ~chunk:16 (Adaptive.Abs 0.2)
-  in
-  let e, sweep =
-    Estimate.spread_time_adaptive ~config (Rng.create 21) (net64 ())
-  in
-  check int "saved = budget - consumed" (256 - e.Estimate.consumed)
-    e.Estimate.saved;
-  check int "sweep is the decided prefix" e.Estimate.consumed
-    (Array.length sweep.Run.outcomes);
-  check bool "no control -> no ratio" true (e.Estimate.variance_ratio = None);
-  (* With the clique control the savings factor is reported. *)
-  let e2, _ =
-    Estimate.spread_time_adaptive ~control:(Gen.clique 64) ~config
-      (Rng.create 21) (net64 ())
-  in
-  check bool "control reports a ratio" true
-    (match e2.Estimate.variance_ratio with Some r -> r > 1. | None -> false);
-  check bool "control converges no later" true
-    (e2.Estimate.consumed <= e.Estimate.consumed)
-
-let test_estimate_stratified () =
-  let net = Dynet.of_static (Gen.star 32) in
-  (* Star: source 0 (the hub) vs a leaf have genuinely different
-     spread-time laws — stratification must keep both. *)
-  let s =
-    Estimate.stratified_spread_time ~budget:64 ~pilot:4 ~min_per:2
-      ~sources:[| 0; 5 |] (Rng.create 31) net
-  in
-  check int "two strata" 2 (Array.length s.Estimate.per_stratum);
-  check int "allocation spends the budget" 64
-    (Array.fold_left ( + ) 0 s.Estimate.allocation);
-  Array.iter
-    (fun k -> check bool "floor respected" true (k >= 2))
-    s.Estimate.allocation;
-  check bool "finite combined mean" true (Float.is_finite s.Estimate.mean);
-  check bool "finite half-width" true (Float.is_finite s.Estimate.half_width)
-
-(* --- Workloads default-adaptive funnel --- *)
 
 let test_workloads_default_adaptive () =
   let module W = Rumor_experiments.Workloads in
@@ -553,11 +479,6 @@ let () =
           Alcotest.test_case "rao-blackwell residual" `Quick
             test_rao_blackwell_time;
         ] );
-      ( "strata",
-        [
-          Alcotest.test_case "neyman allocation" `Quick test_neyman;
-          Alcotest.test_case "combine" `Quick test_strata_combine;
-        ] );
       ( "sweep",
         [
           Alcotest.test_case "prefix bit-identity" `Slow
@@ -574,10 +495,6 @@ let () =
         ] );
       ( "wiring",
         [
-          Alcotest.test_case "Estimate.spread_time_adaptive" `Slow
-            test_estimate_adaptive;
-          Alcotest.test_case "stratified estimate" `Slow
-            test_estimate_stratified;
           Alcotest.test_case "Workloads default funnel" `Slow
             test_workloads_default_adaptive;
           Alcotest.test_case "serve query fingerprint" `Quick

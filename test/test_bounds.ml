@@ -9,9 +9,10 @@ let int = Alcotest.int
 let flt = Alcotest.float 1e-9
 
 let test_constants () =
-  check flt "c0 = 1/2 - 1/e" (0.5 -. (1. /. exp 1.)) Bounds.c0;
-  check flt "C(1) = 30/c0" (30. /. Bounds.c0) (Bounds.big_c ~c:1.);
-  check flt "C(2) = 40/c0" (40. /. Bounds.c0) (Bounds.big_c ~c:2.);
+  (* c0 = 1/2 - 1/e, the constant of Lemma 2.2 / Lemma 3.1. *)
+  let c0 = 0.5 -. (1. /. exp 1.) in
+  check flt "C(1) = 30/c0" (30. /. c0) (Bounds.big_c ~c:1.);
+  check flt "C(2) = 40/c0" (40. /. c0) (Bounds.big_c ~c:2.);
   Alcotest.check_raises "c < 1"
     (Invalid_argument "Bounds.big_c: Theorem 1.1 requires c >= 1") (fun () ->
       ignore (Bounds.big_c ~c:0.5))
@@ -60,7 +61,7 @@ let test_profile_exact_fallback () =
   check flt "exact rho_abs" 0.5 p.Bounds.rho_abs
 
 let test_profile_disconnected () =
-  let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
+  let g = Fixtures.of_edges 4 [ (0, 1); (2, 3) ] in
   let net = Dynet.of_static g in
   let p = (Bounds.profile ~steps:1 (Rng.create 1) net).(0) in
   check bool "disconnected" false p.Bounds.connected;
@@ -96,12 +97,18 @@ let test_theorem_times_on_profiles () =
   | _ -> Alcotest.fail "corollary components missing")
 
 let test_giakkoupis_m_factor () =
-  check flt "uniform degrees" 1.0
-    (Giakkoupis.m_factor_of_degrees ~mins:[| 3; 3 |] ~maxs:[| 3; 3 |]);
+  let m_of net = (Giakkoupis.bound ~steps:4 (Rng.create 1) net).Giakkoupis.m_factor in
+  check flt "uniform degrees" 1.0 (m_of (Dynet.of_static (Gen.cycle 6)));
+  (* Node 0 has degree 2 at even steps and 7 at odd ones; every other
+     node's degree ratio is at most 3. *)
+  let wheel_hub = Fixtures.of_edges 8 (List.init 7 (fun i -> (0, i + 1))) in
+  let ring = Gen.cycle 8 in
   check flt "fluctuating" (7. /. 2.)
-    (Giakkoupis.m_factor_of_degrees ~mins:[| 2; 3 |] ~maxs:[| 7; 3 |]);
-  check bool "isolated node -> infinite" true
-    (Giakkoupis.m_factor_of_degrees ~mins:[| 0 |] ~maxs:[| 2 |] = infinity)
+    (m_of (Fixtures.interleave [ Dynet.of_static ring; Dynet.of_static wheel_hub ]));
+  let isolated = Fixtures.of_edges 3 [ (0, 1) ] in
+  let r = Giakkoupis.bound ~steps:4 (Rng.create 1) (Dynet.of_static isolated) in
+  check bool "isolated node -> infinite" true (r.Giakkoupis.m_factor = infinity);
+  check bool "isolated node -> no bound" true (r.Giakkoupis.bound_time = None)
 
 let test_giakkoupis_on_static () =
   (* On a static regular graph M = 1 and the bound reduces to

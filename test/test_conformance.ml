@@ -77,7 +77,7 @@ let test_ks_gnp () =
 (* PS (PAPERS.md) prove that push-pull spread times on dense G(n,p)
    (np >> log n) converge to the complete-graph law, independently of
    p: the per-edge rate 1/deg cancels the edge count.  The reference
-   distribution needs no graph simulation — Limit_laws.clique_sample
+   distribution needs no graph simulation — Oracle.clique_sample
    draws the exact K_n pure-jump chain — so this gate pins the whole
    simulator (graph generation, cut maintenance, event sequencing)
    against a closed form none of its code paths share. *)
@@ -88,7 +88,7 @@ let ks_against_clique_law ~name ~seed ~sim_seed net n =
   let sim =
     (Run.async_spread_times ~reps:ps_reps (Rng.create sim_seed) net).Run.times
   in
-  let reference = Limit_laws.clique_samples (Rng.create seed) ~n ~reps:ps_reps in
+  let reference = Oracle.clique_samples (Rng.create seed) ~n ~reps:ps_reps in
   let r = Ks.two_sample sim reference in
   let crit = Ks.critical_value ~n1:ps_reps ~n2:ps_reps ~alpha:0.001 in
   check bool
@@ -120,9 +120,7 @@ let test_ps_gnp_limit_law () =
     go 2056
   in
   ks_against_clique_law ~name:"G(256,0.75) vs clique law" ~seed:205
-    ~sim_seed:305 (Dynet.of_static g) n;
-  check (Alcotest.float 1e-12) "limit mean alias"
-    (Limit_laws.clique_mean n) (Limit_laws.gnp_limit_mean n)
+    ~sim_seed:305 (Dynet.of_static g) n
 
 let test_acan_universal_pins () =
   (* Acan-Collevecchio-Mehrabian-Wormald: any connected n-vertex graph
@@ -133,8 +131,8 @@ let test_acan_universal_pins () =
     (fun (name, n, net) ->
       let mc = Run.async_spread_times ~reps:60 (Rng.create 401) net in
       let m = Descriptive.mean mc.Run.times in
-      let lo = Limit_laws.worst_case_lower n in
-      let hi = Limit_laws.worst_case_upper n in
+      let lo = Oracle.worst_case_lower n in
+      let hi = Oracle.worst_case_upper n in
       check bool
         (Printf.sprintf "%s: %.3f inside [%.3f, %.3f]" name m lo hi)
         true
@@ -196,7 +194,7 @@ let test_sync_push_pull_bounds () =
 (* Nodes 2 and 3 are unreachable, so every replicate censors at the
    horizon: the two runner tiers must expose that differently and
    consistently. *)
-let disconnected = Dynet.of_static (Graph.of_edges 4 [ (0, 1) ])
+let disconnected = Dynet.of_static (Fixtures.of_edges 4 [ (0, 1) ])
 
 let test_classic_censoring_convention () =
   (* Classic tier: a censored replicate contributes the time it

@@ -622,6 +622,113 @@ let test_coordinator_chaos_byte_identity () =
    it; when the zombie finally submits its stale result, the stale
    (lease, epoch) stamp must fence it, and the canonical output must be
    the replacement's bytes. *)
+(* --- a worker whose coordinator is gone ---
+
+   A hand-rolled coordinator on a Unix socket: [start_worker socket]
+   starts one worker, which is welcomed and granted one lease of eight
+   tasks; [k fd reader] then plays the coordinator's part.  Every task
+   the worker runs leaves a marker file in [marks]. *)
+
+let eight_tasks = List.init 8 (fun i -> Printf.sprintf "t%d" i)
+
+let marking_task ~marks task =
+  write_file (Filename.concat marks task) "";
+  (* Test pacing: a task takes about 50 ms. *)
+  Unix.sleepf 0.05
+
+let tasks_run marks = Array.length (Sys.readdir marks)
+
+let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
+let with_bare_coordinator ~dir ~start_worker k =
+  let socket = Filename.concat dir "c.sock" in
+  let lsock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX socket);
+  Unix.listen lsock 1;
+  let on_hello = start_worker socket in
+  let fd, _ = Unix.accept ~cloexec:true lsock in
+  Unix.close lsock;
+  Sys.remove socket;
+  let reader = Proto.reader () in
+  let deadline = Rumor_obs.Clock.now_s () +. 10. in
+  (match Option.bind (Proto.recv ~deadline fd reader) Proto.of_json with
+  | Some (Proto.Hello { worker; _ }) ->
+    on_hello ();
+    Proto.send fd
+      (Proto.to_json (Proto.Welcome { worker; proto = Proto.version; crc = false }));
+    Proto.send fd
+      (Proto.to_json (Proto.Grant { lease = 1; epoch = 1; tasks = eight_tasks }))
+  | _ -> Alcotest.fail "no hello");
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> k fd reader)
+
+(* The next frame that is not a heartbeat; [None] on EOF. *)
+let rec next_non_beat ~deadline fd reader =
+  match Option.map Proto.of_json (Proto.recv ~deadline fd reader) with
+  | Some (Some (Proto.Beat _ | Proto.Idle _)) -> next_non_beat ~deadline fd reader
+  | Some m -> Some m
+  | None -> None
+
+(* The coordinator reads the first result and hangs up: the worker's
+   next send fails, and it runs no further task of the batch. *)
+let test_worker_stops_batch_on_failed_send () =
+  with_temp_dir (fun dir ->
+      let marks = Filename.concat dir "marks" in
+      Unix.mkdir marks 0o755;
+      let pid = ref (-1) in
+      with_bare_coordinator ~dir
+        ~start_worker:(fun socket ->
+          pid :=
+            fork_spawn ~tasks_dir:dir ~run_task:(marking_task ~marks) ()
+              ~slot:0 ~socket;
+          ignore)
+        (fun fd reader ->
+          let deadline = Rumor_obs.Clock.now_s () +. 10. in
+          match next_non_beat ~deadline fd reader with
+          | Some (Some (Proto.Result _)) -> ()
+          | _ -> Alcotest.fail "no first result");
+      (* Every task of the batch would have run by now. *)
+      Unix.sleepf 1.0;
+      let ran = tasks_run marks in
+      (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
+      reap !pid;
+      check bool (Printf.sprintf "at most 2 of 8 tasks ran (%d)" ran) true
+        (ran <= 2))
+
+(* A Unix-socket worker whose parent exits stops at the next task
+   boundary, while the connection stays open. *)
+let test_worker_exits_when_orphaned () =
+  with_temp_dir (fun dir ->
+      let marks = Filename.concat dir "marks" in
+      Unix.mkdir marks 0o755;
+      let release_r, release_w = Unix.pipe ~cloexec:true () in
+      let middle = ref (-1) in
+      with_bare_coordinator ~dir
+        ~start_worker:(fun socket ->
+          flush stdout;
+          flush stderr;
+          (match Unix.fork () with
+          | 0 ->
+            (* The worker's parent: alive until the worker has said
+               hello (and so recorded its parent), then gone. *)
+            ignore
+              (fork_spawn ~tasks_dir:dir ~run_task:(marking_task ~marks) ()
+                 ~slot:0 ~socket);
+            ignore (Unix.read release_r (Bytes.create 1) 0 1);
+            Unix._exit 0
+          | p -> middle := p);
+          fun () ->
+            ignore (Unix.write_substring release_w "x" 0 1);
+            reap !middle)
+        (fun fd reader ->
+          let deadline = Rumor_obs.Clock.now_s () +. 10. in
+          match next_non_beat ~deadline fd reader with
+          | None -> ()
+          | Some _ -> Alcotest.fail "orphan sent a result");
+      Unix.close release_r;
+      Unix.close release_w;
+      check int "no task ran" 0 (tasks_run marks))
+
 let test_coordinator_zombie_is_fenced () =
   with_temp_dir (fun dir ->
       let config =
@@ -660,7 +767,8 @@ let test_coordinator_zombie_is_fenced () =
                  (* Outlive the declared death, then submit with the
                     (by now reclaimed) lease stamp. *)
                  Unix.sleepf 0.9;
-                 let file = Worker.partial_name ~task ~lease ~epoch in
+                 (* The worker's stamped capture-file name. *)
+                 let file = Printf.sprintf ".%s.l%de%d.partial" task lease epoch in
                  write_file (Filename.concat tdir file) zombie_payload;
                  Proto.send fd
                    (Proto.to_json
@@ -713,7 +821,7 @@ let test_coordinator_replay_fencing () =
         { (quick_config ~dir ~workers:1) with Coordinator.resume = true }
       in
       Unix.mkdir (Coordinator.tasks_dir config) 0o755;
-      let wal = Wal.open_ ~fsync:false (Coordinator.wal_path config) in
+      let wal = Wal.open_ ~fsync:false (Filename.concat config.Coordinator.dir "campaign.wal") in
       let j fields = Obs.Json.Obj fields in
       let s v = Obs.Json.String v and i v = Obs.Json.Int v in
       List.iter (Wal.append wal)
@@ -946,7 +1054,7 @@ let test_tcp_campaign_byte_identity () =
       with_temp_dir (fun dir ->
           let _, ref_config = run_campaign ~dir:ref_dir ~workers:1 ~tasks () in
           let summary, config, codes =
-            run_tcp_campaign ~dir ~nworkers:2 ~fault:Netchaos.passthrough
+            run_tcp_campaign ~dir ~nworkers:2 ~fault:Fixtures.passthrough
               ~token:"tcp-e2e" ~tasks ()
           in
           check int "campaign clean" 0 (Coordinator.exit_code summary);
@@ -971,7 +1079,7 @@ let test_tcp_reconnect_after_reset () =
           let _, ref_config = run_campaign ~dir:ref_dir ~workers:1 ~tasks () in
           let fault =
             {
-              Netchaos.passthrough with
+              Fixtures.passthrough with
               Netchaos.reset_after_bytes = Some 1536;
               max_resets = Some 1;
             }
@@ -1003,7 +1111,7 @@ let test_tcp_corruption_detected () =
              the worker's read timeout short so recovery always
              outpaces the next hit. *)
           let fault =
-            { Netchaos.passthrough with Netchaos.corrupt_p = 0.08 }
+            { Fixtures.passthrough with Netchaos.corrupt_p = 0.08 }
           in
           let summary, config, codes =
             run_tcp_campaign ~dir ~nworkers:1 ~fault ~proxy_seed:3
@@ -1319,7 +1427,7 @@ let test_coordinator_resume_stamps_unique () =
         { (quick_config ~dir ~workers:1) with Coordinator.resume = true }
       in
       Unix.mkdir (Coordinator.tasks_dir config) 0o755;
-      let wal = Wal.open_ ~fsync:false (Coordinator.wal_path config) in
+      let wal = Wal.open_ ~fsync:false (Filename.concat config.Coordinator.dir "campaign.wal") in
       let j fields = Obs.Json.Obj fields in
       let s v = Obs.Json.String v and i v = Obs.Json.Int v in
       List.iter (Wal.append wal)
@@ -1405,6 +1513,10 @@ let () =
             test_coordinator_chaos_byte_identity;
           Alcotest.test_case "zombie's late result fenced" `Quick
             test_coordinator_zombie_is_fenced;
+          Alcotest.test_case "failed send stops the batch" `Quick
+            test_worker_stops_batch_on_failed_send;
+          Alcotest.test_case "orphaned worker exits" `Quick
+            test_worker_exits_when_orphaned;
           Alcotest.test_case "stalled stray connection dropped" `Quick
             test_coordinator_stalled_stray_dropped;
           Alcotest.test_case "journal replay fences reclaimed lease" `Quick

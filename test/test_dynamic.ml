@@ -21,12 +21,11 @@ let test_of_static_constant () =
   check bool "step 0 changed" true i0.Dynet.changed;
   check bool "step 1 unchanged" false i1.Dynet.changed;
   check bool "same graph" true (Graph.equal i0.Dynet.graph i1.Dynet.graph);
-  check (Alcotest.option (Alcotest.float 1e-9)) "phi carried" (Some 0.5) i0.Dynet.phi;
-  check int "step count" 2 (Dynet.step_count inst)
+  check (Alcotest.option (Alcotest.float 1e-9)) "phi carried" (Some 0.5) i0.Dynet.phi
 
 let test_of_sequence_cycles () =
   let a = Gen.cycle 4 and b = Gen.clique 4 in
-  let net = Dynet.of_sequence [| a; b |] in
+  let net = Fixtures.of_sequence [| a; b |] in
   let inst = net.Dynet.spawn (Rng.create 1) in
   let g0 = (Dynet.next inst ~informed:(empty_informed 4)).Dynet.graph in
   let g1 = (Dynet.next inst ~informed:(empty_informed 4)).Dynet.graph in
@@ -37,23 +36,31 @@ let test_of_sequence_cycles () =
 
 let test_of_sequence_rejects () =
   Alcotest.check_raises "mismatched sizes"
-    (Invalid_argument "Dynet.of_sequence: node-count mismatch") (fun () ->
-      ignore (Dynet.of_sequence [| Gen.cycle 4; Gen.cycle 5 |]));
+    (Invalid_argument "Fixtures.of_sequence: node-count mismatch") (fun () ->
+      ignore (Fixtures.of_sequence [| Gen.cycle 4; Gen.cycle 5 |]));
   Alcotest.check_raises "empty"
-    (Invalid_argument "Dynet.of_sequence: empty graph array") (fun () ->
-      ignore (Dynet.of_sequence [||]))
+    (Invalid_argument "Fixtures.of_sequence: empty graph array") (fun () ->
+      ignore (Fixtures.of_sequence [||]))
 
 
 let test_of_fun_state_per_spawn () =
   (* Each spawn gets fresh closure state; step numbers are supplied in
      order. *)
+  let counters = ref [] in
   let net =
-    Dynet.of_fun ~n:4 ~name:"counter" (fun _rng ->
-        let calls = ref 0 in
-        fun ~step ~informed:_ ->
-          incr calls;
-          Alcotest.(check int) "step matches call order" !calls (step + 1);
-          Dynet.info_of_graph ~changed:(step = 0) (Gen.cycle 4))
+    {
+      Dynet.n = 4;
+      name = "counter";
+      source_hint = None;
+      spawn =
+        (fun _rng ->
+          let calls = ref 0 in
+          counters := calls :: !counters;
+          Dynet.make_instance (fun ~step ~informed:_ ->
+              incr calls;
+              Alcotest.(check int) "step matches call order" !calls (step + 1);
+              Dynet.info_of_graph ~changed:(step = 0) (Gen.cycle 4)));
+    }
   in
   let i1 = net.Dynet.spawn (Rng.create 1) in
   let i2 = net.Dynet.spawn (Rng.create 1) in
@@ -62,13 +69,23 @@ let test_of_fun_state_per_spawn () =
   ignore (Dynet.next i1 ~informed);
   (* i2 starts from step 0 independently. *)
   ignore (Dynet.next i2 ~informed);
-  Alcotest.(check int) "i1 stepped twice" 2 (Dynet.step_count i1);
-  Alcotest.(check int) "i2 stepped once" 1 (Dynet.step_count i2)
+  match !counters with
+  | [ c2; c1 ] ->
+    Alcotest.(check int) "i1 stepped twice" 2 !c1;
+    Alcotest.(check int) "i2 stepped once" 1 !c2
+  | _ -> Alcotest.fail "expected two spawns"
 
 let test_step0_must_report_changed () =
   let net =
-    Dynet.of_fun ~n:3 ~name:"bad" (fun _rng ~step:_ ~informed:_ ->
-        Dynet.info_of_graph ~changed:false (Gen.cycle 3))
+    {
+      Dynet.n = 3;
+      name = "bad";
+      source_hint = None;
+      spawn =
+        (fun _rng ->
+          Dynet.make_instance (fun ~step:_ ~informed:_ ->
+              Dynet.info_of_graph ~changed:false (Gen.cycle 3)));
+    }
   in
   let inst = net.Dynet.spawn (Rng.create 2) in
   Alcotest.check_raises "step 0 unchanged rejected"
@@ -215,7 +232,7 @@ let test_absolute_initial_structure () =
   (* Degree profile: node 0 (special) delta+1 with the bridge; A-side
      others 4; B-side delta except the bridged one delta+1. *)
   check int "special node degree" (delta + 1) (Graph.degree g 0);
-  let hist = Metrics.degree_histogram g in
+  let hist = Fixtures.degree_histogram g in
   let count d = try List.assoc d hist with Not_found -> 0 in
   check int "two bridge endpoints at delta+1" 2 (count (delta + 1));
   check int "A-side regulars at 4" ((n / 2) - 1) (count 4);
@@ -248,16 +265,27 @@ let test_absolute_freeze () =
   check bool "same graph" true (Graph.equal i1.Dynet.graph i2.Dynet.graph)
 
 let test_regular_except_one_fast () =
-  let ids = Array.init 40 (fun i -> i * 2) in
-  let edges = Absolute.regular_except_one_fast ~ids ~delta:6 in
-  let g = Graph.of_edges 80 edges in
-  check int "special degree" 6 (Graph.degree g (ids.(0)));
-  Array.iteri
-    (fun i u -> if i > 0 then check int "others degree 4" 4 (Graph.degree g u))
-    ids;
-  (* Connected over the participating ids. *)
-  let comp = Traverse.component_of g ids.(0) in
-  Array.iter (fun u -> check bool "in one component" true (Bitset.mem comp u)) ids
+  (* Once informed B-nodes defect, A's ids are no longer contiguous:
+     the A-side gadget must still give every A-node degree 4 except
+     the special node 0 (Delta, plus the bridge), and stay connected. *)
+  let n = 240 and rho = 0.1 in
+  let net = Absolute.network ~n ~rho in
+  let delta = Absolute.delta_of_rho rho in
+  let inst = net.Dynet.spawn (Rng.create 8) in
+  let informed = empty_informed n in
+  ignore (Dynet.next inst ~informed);
+  for u = n / 2 to n - 1 do
+    if u mod 3 = 0 then ignore (Bitset.add informed u)
+  done;
+  let step = Dynet.next inst ~informed in
+  check bool "rewired" true step.Dynet.changed;
+  let g = step.Dynet.graph in
+  check int "special degree" (delta + 1) (Graph.degree g 0);
+  let in_a u = u < n / 2 || Bitset.mem informed u in
+  for u = 1 to n - 1 do
+    if in_a u then check int "others degree 4" 4 (Graph.degree g u)
+  done;
+  check bool "connected" true (Traverse.is_connected g)
 
 let test_absolute_admissibility () =
   check bool "rho too small for n" false (Absolute.admissible ~n:60 ~rho:0.02);
@@ -329,7 +357,7 @@ let test_alternating_periods () =
   let g2 = (Dynet.next inst ~informed).Dynet.graph in
   check int "even step complete" (n - 1) (Graph.max_degree g0);
   check bool "odd step cubic" true
-    (Graph.is_regular g1 && Graph.max_degree g1 = 3);
+    (Graph.min_degree g1 = 3 && Graph.max_degree g1 = 3);
   check bool "cubic connected" true (Traverse.is_connected g1);
   check bool "period 2" true (Graph.equal g0 g2)
 
@@ -388,10 +416,17 @@ let test_markovian_absorbing_edges () =
 (* --- Mobile --- *)
 
 let test_torus_distance () =
-  check int "wraparound x" 2
-    (Mobile.torus_distance ~width:10 ~height:10 (1, 0) (9, 0));
-  check int "chebyshev" 3 (Mobile.torus_distance ~width:10 ~height:10 (0, 0) (3, 2));
-  check int "self" 0 (Mobile.torus_distance ~width:5 ~height:5 (2, 2) (2, 2))
+  (* Contact is Chebyshev distance with wraparound: on a 3x3 torus
+     every pair of cells is within distance 1 (without wraparound,
+     (0, 0) and (2, 2) would be 2 apart; with Manhattan or Euclidean
+     distance, (0, 0) and (1, 1) would be too far), so radius 1 joins
+     every pair of agents at every step. *)
+  let net = Mobile.network ~agents:6 ~width:3 ~height:3 ~radius:1 in
+  let inst = net.Dynet.spawn (Rng.create 14) in
+  let informed = empty_informed 6 in
+  for _ = 1 to 5 do
+    check int "complete" 15 (Graph.m (Dynet.next inst ~informed).Dynet.graph)
+  done
 
 let test_mobile_network_steps () =
   let net = Mobile.network ~agents:10 ~width:8 ~height:8 ~radius:2 in

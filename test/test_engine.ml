@@ -29,7 +29,7 @@ let markovian ~q =
 let nets =
   [
     ("clique", Dynet.of_static (Gen.clique n));
-    ("regular", Dynet.of_static (Gen.random_regular (Rng.create 3) n 6));
+    ("regular", Dynet.of_static (Gen.random_connected_regular (Rng.create 3) n 6));
     ("ba", Dynet.of_static (Gen.barabasi_albert (Rng.create 4) n 3));
     ("markov-q0.5", markovian ~q:0.5);
     ("markov-q0.05", markovian ~q:0.05);
@@ -48,7 +48,7 @@ let plans =
     ("rates", Fault_plan.make ~node_rate:(fun u -> 0.5 +. float_of_int (u mod 3)) ());
     ("churn", Fault_plan.node_churn ~crash:0.1 ~recover:0.5);
     ("loss", Fault_plan.message_loss 0.3);
-    ("partition", Fault_plan.partition_window ~from_step:0 ~until_step:2 ~side:half);
+    ("partition", Fixtures.partition_window ~from_step:0 ~until_step:2 ~side:half);
     ( "all",
       Fault_plan.make ~loss:0.2
         ~node_rate:(fun u -> 1. +. float_of_int (u mod 2))

@@ -21,10 +21,6 @@ let contains ~sub s =
 (* --- Fault_plan construction and validation --- *)
 
 let test_plan_validation () =
-  check bool "none is trivial" true (Fault_plan.trivial Fault_plan.none);
-  check bool "make () is trivial" true (Fault_plan.trivial (Fault_plan.make ()));
-  check bool "loss plan is not trivial" false
-    (Fault_plan.trivial (Fault_plan.message_loss 0.1));
   Alcotest.check_raises "loss = 1 rejected"
     (Invalid_argument "Fault_plan.make: loss must lie in [0, 1)") (fun () ->
       ignore (Fault_plan.make ~loss:1.0 ()));
@@ -39,7 +35,7 @@ let test_plan_validation () =
     (Invalid_argument "Fault_plan.make: empty partition window")
     (fun () ->
       ignore
-        (Fault_plan.partition_window ~from_step:3 ~until_step:3
+        (Fixtures.partition_window ~from_step:3 ~until_step:3
            ~side:(fun u -> u = 0)));
   let a =
     Fault_plan.availability { Fault_plan.crash = 0.1; recover = 0.3 }
@@ -52,7 +48,7 @@ let test_plan_state_semantics () =
   (* Partition windows open and close as advance crosses boundaries;
      alive/allows reflect them. *)
   let plan =
-    Fault_plan.partition_window ~from_step:2 ~until_step:4 ~side:(fun u ->
+    Fixtures.partition_window ~from_step:2 ~until_step:4 ~side:(fun u ->
         u < 2)
   in
   let st = Fault_plan.init plan ~n:4 in
@@ -65,7 +61,7 @@ let test_plan_state_semantics () =
   check bool "cross pair blocked" false (Fault_plan.allows st 0 3);
   check bool "same-side pair unaffected" true (Fault_plan.allows st 0 1);
   check bool "blocked is symmetric" true
-    (Fault_plan.blocked st 0 3 && Fault_plan.blocked st 3 0);
+    ((not (Fault_plan.allows st 0 3)) && not (Fault_plan.allows st 3 0));
   ignore (Fault_plan.advance st rng ~step:3);
   check bool "still open at step 3" false (Fault_plan.allows st 0 3);
   let changed = Fault_plan.advance st rng ~step:4 in
@@ -84,7 +80,7 @@ let test_restricts () =
   check bool "churn" true (restricts (Fault_plan.node_churn ~crash:0. ~recover:1.));
   let st =
     Fault_plan.init
-      (Fault_plan.partition_window ~from_step:1 ~until_step:2 ~side:(fun u -> u < 2))
+      (Fixtures.partition_window ~from_step:1 ~until_step:2 ~side:(fun u -> u < 2))
       ~n:4
   in
   check bool "before the window" false (Fault_plan.restricts st);
@@ -188,7 +184,7 @@ let test_partition_delays_k2 () =
      happen before time 3, and the run completes after it heals. *)
   let net = Dynet.of_static (Gen.clique 2) in
   let faults =
-    Fault_plan.partition_window ~from_step:0 ~until_step:3 ~side:(fun u ->
+    Fixtures.partition_window ~from_step:0 ~until_step:3 ~side:(fun u ->
         u = 0)
   in
   List.iter
@@ -217,29 +213,6 @@ let test_crashed_nodes_inert () =
 
 (* --- Graph-level combinators --- *)
 
-let prop_with_churn_subgraph =
-  QCheck.Test.make ~count:50 ~name:"with_churn exposes subgraphs of the base"
-    QCheck.(triple (int_range 0 100_000) (int_range 4 24) (int_range 1 10))
-    (fun (seed, n, steps) ->
-      let g = Gen.clique n in
-      let net =
-        Combinators.with_churn ~crash:0.3 ~recover:0.4
-          (Dynet.of_static g)
-      in
-      let inst = net.Dynet.spawn (Rng.create seed) in
-      let informed = Bitset.create n in
-      let ok = ref true in
-      for _ = 1 to steps do
-        let info = Dynet.next inst ~informed in
-        if Graph.n info.Dynet.graph <> n then ok := false;
-        Graph.iter_edges
-          (fun u v ->
-            if u < 0 || v < 0 || u >= n || v >= n then ok := false;
-            if not (Graph.has_edge g u v) then ok := false)
-          info.Dynet.graph
-      done;
-      !ok)
-
 let prop_with_partition_window =
   QCheck.Test.make ~count:50
     ~name:"with_partition cuts cross edges exactly inside the window"
@@ -249,7 +222,7 @@ let prop_with_partition_window =
       let from_step = 2 and until_step = 5 in
       let side u = u < n / 2 in
       let net =
-        Combinators.with_partition ~from_step ~until_step ~side
+        Fixtures.with_partition ~from_step ~until_step ~side
           (Dynet.of_static g)
       in
       let inst = net.Dynet.spawn (Rng.create seed) in
@@ -271,19 +244,7 @@ let prop_with_partition_window =
 
 (* --- Horizon_exceeded and censored estimates --- *)
 
-let disconnected = Dynet.of_static (Graph.of_edges 4 [ (0, 1) ])
-
-let test_horizon_exceeded () =
-  let r = Async_cut.run ~horizon:10. (Rng.create 21) disconnected ~source:0 in
-  check bool "incomplete" false r.Async_result.complete;
-  (match Async_result.spread_time_exn r with
-  | _ -> Alcotest.fail "expected Horizon_exceeded"
-  | exception Async_result.Horizon_exceeded { horizon; informed } ->
-    check bool "carries the horizon" true (horizon >= 10.);
-    check int "carries the informed count" 2 informed);
-  let complete = Async_cut.run (Rng.create 22) (Dynet.of_static (Gen.clique 4)) ~source:0 in
-  check bool "exn accessor passes through complete runs" true
-    (Async_result.spread_time_exn complete = complete.Async_result.time)
+let disconnected = Dynet.of_static (Fixtures.of_edges 4 [ (0, 1) ])
 
 let test_estimate_censored_flag () =
   let est =
@@ -295,8 +256,6 @@ let test_estimate_censored_flag () =
   check bool "ci_high flagged infinite" true (est.Estimate.ci_high = infinity);
   check bool "ci_low is a finite lower bound" true
     (Float.is_finite est.Estimate.ci_low);
-  let s = Format.asprintf "%a" Estimate.pp est in
-  check bool "pp surfaces censoring" true (contains ~sub:"censored" s);
   (* An uncensored estimate keeps the old behaviour. *)
   let est2 =
     Estimate.spread_time ~reps:40 ~q:0.9 (Rng.create 24)
@@ -445,7 +404,7 @@ let test_checkpoint_v2_header_and_crc () =
   with_temp_file (fun path ->
       Checkpoint.save path ~seeds:[| 0x11L; 0x22L |]
         ~outcomes:[| Some (Run.Finished 2.0); Some (Run.Censored 1.5) |];
-      let header = String.concat "" [ Checkpoint.magic; " crc32=" ] in
+      let header = String.concat "" [ "rumor-checkpoint v2"; " crc32=" ] in
       check bool "v2 header with crc" true
         (String.length (read_file path) > String.length header
         && String.sub (read_file path) 0 (String.length header) = header);
@@ -598,13 +557,10 @@ let () =
             test_partition_delays_k2;
           Alcotest.test_case "crashed nodes are inert" `Quick
             test_crashed_nodes_inert;
-          QCheck_alcotest.to_alcotest prop_with_churn_subgraph;
           QCheck_alcotest.to_alcotest prop_with_partition_window;
         ] );
       ( "censoring",
         [
-          Alcotest.test_case "Horizon_exceeded payload" `Quick
-            test_horizon_exceeded;
           Alcotest.test_case "Estimate flags censored quantiles" `Quick
             test_estimate_censored_flag;
         ] );

@@ -31,7 +31,7 @@ let pick_family rng =
     let nn = max 8 n in
     Adversary.greedy_min_cut ~n:nn ~degree_budget:(2 + (2 * Rng.int rng 3))
   | 10 ->
-    Combinators.with_node_outage
+    Fixtures.with_node_outage
       ~p:(Rng.float rng *. 0.5)
       (Dynet.of_static (Gen.clique n))
   | _ -> assert false

@@ -1,5 +1,5 @@
-(* Tests for the graph substrate: core type, builder, generators,
-   traversal, union-find. *)
+(* Tests for the graph substrate: core type, builder, generators and
+   connectivity. *)
 
 open Rumor_core.Rumor
 
@@ -8,12 +8,12 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 
 let degree_multiset g =
-  List.sort compare (Array.to_list (Metrics.degree_array g))
+  List.sort compare (Array.to_list (Array.init (Graph.n g) (Graph.degree g)))
 
 (* --- Graph core --- *)
 
 let test_of_edges_basic () =
-  let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
+  let g = Fixtures.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
   check int "n" 4 (Graph.n g);
   check int "m" 3 (Graph.m g);
   check int "degree 1" 2 (Graph.degree g 1);
@@ -23,17 +23,17 @@ let test_of_edges_basic () =
 
 let test_of_edges_rejects () =
   Alcotest.check_raises "self-loop"
-    (Invalid_argument "Graph.of_edges: self-loop at 1") (fun () ->
-      ignore (Graph.of_edges 3 [ (1, 1) ]));
+    (Invalid_argument "Builder.add_edge: self-loop at 1") (fun () ->
+      ignore (Fixtures.of_edges 3 [ (1, 1) ]));
   Alcotest.check_raises "duplicate"
-    (Invalid_argument "Graph.of_edges: duplicate edge (1, 0)") (fun () ->
-      ignore (Graph.of_edges 3 [ (0, 1); (1, 0) ]));
+    (Invalid_argument "Builder.add_edge_exn: duplicate edge (1, 0)") (fun () ->
+      ignore (Fixtures.of_edges 3 [ (0, 1); (1, 0) ]));
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Graph.of_edges: edge (0, 3) out of range") (fun () ->
-      ignore (Graph.of_edges 3 [ (0, 3) ]))
+    (Invalid_argument "Builder: node 3 out of range [0, 3)") (fun () ->
+      ignore (Fixtures.of_edges 3 [ (0, 3) ]))
 
 let test_edges_listing () =
-  let g = Graph.of_edges 4 [ (2, 3); (0, 1); (1, 2) ] in
+  let g = Fixtures.of_edges 4 [ (2, 3); (0, 1); (1, 2) ] in
   check
     (Alcotest.list (Alcotest.pair int int))
     "sorted edges"
@@ -42,17 +42,15 @@ let test_edges_listing () =
   check int "fold count" 3 (Graph.fold_edges (fun _ _ acc -> acc + 1) g 0)
 
 let test_neighbor_indexing () =
-  let g = Graph.of_edges 5 [ (2, 0); (2, 4); (2, 1) ] in
-  check int "neighbor 0" 0 (Graph.neighbor g 2 0);
-  check int "neighbor 2" 4 (Graph.neighbor g 2 2);
-  Alcotest.check_raises "bad index"
-    (Invalid_argument "Graph.neighbor: index 3 out of range") (fun () ->
-      ignore (Graph.neighbor g 2 3))
+  let g = Fixtures.of_edges 5 [ (2, 0); (2, 4); (2, 1) ] in
+  check int "degree" 3 (Graph.degree g 2);
+  check int "neighbor 0" 0 (Graph.unsafe_neighbor g 2 0);
+  check int "neighbor 2" 4 (Graph.unsafe_neighbor g 2 2)
 
 let test_graph_equal () =
-  let a = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
-  let b = Graph.of_edges 3 [ (1, 2); (0, 1) ] in
-  let c = Graph.of_edges 3 [ (0, 1); (0, 2) ] in
+  let a = Fixtures.of_edges 3 [ (0, 1); (1, 2) ] in
+  let b = Fixtures.of_edges 3 [ (1, 2); (0, 1) ] in
+  let c = Fixtures.of_edges 3 [ (0, 1); (0, 2) ] in
   check bool "equal ignores edge order" true (Graph.equal a b);
   check bool "different edges" false (Graph.equal a c)
 
@@ -62,9 +60,9 @@ let test_builder_dedup () =
   let b = Builder.create 4 in
   check bool "add" true (Builder.add_edge b 0 1);
   check bool "dup" false (Builder.add_edge b 1 0);
-  check int "m" 1 (Builder.m b);
+  check int "m" 1 (Graph.m (Builder.freeze b));
   check bool "remove" true (Builder.remove_edge b 0 1);
-  check int "m after remove" 0 (Builder.m b)
+  check int "m after remove" 0 (Graph.m (Builder.freeze b))
 
 let test_builder_freeze_snapshot () =
   let b = Builder.create 3 in
@@ -86,7 +84,7 @@ let test_builder_bipartite_overlap () =
 let test_clique () =
   let g = Gen.clique 6 in
   check int "m" 15 (Graph.m g);
-  check bool "regular" true (Graph.is_regular g);
+  check bool "regular" true (Graph.min_degree g = Graph.max_degree g);
   check int "degree" 5 (Graph.max_degree g)
 
 let test_star () =
@@ -102,39 +100,30 @@ let test_path_cycle () =
   let c = Gen.cycle 5 in
   check int "cycle m" 5 (Graph.m c);
   check bool "cycle 2-regular" true
-    (Graph.is_regular c && Graph.max_degree c = 2)
+    (Graph.min_degree c = 2 && Graph.max_degree c = 2)
 
 let test_circulant () =
   let g = Gen.circulant 10 [ 1; 2 ] in
-  check bool "4-regular" true (Graph.is_regular g && Graph.max_degree g = 4);
+  check bool "4-regular" true (Graph.min_degree g = 4 && Graph.max_degree g = 4);
   check bool "connected" true (Traverse.is_connected g);
   Alcotest.check_raises "stride too large"
     (Invalid_argument "Gen.circulant: stride 6 out of (0, n/2]") (fun () ->
       ignore (Gen.circulant 10 [ 6 ]))
 
 let test_complete_bipartite () =
-  let g = Gen.complete_bipartite 3 4 in
+  let g = Fixtures.complete_bipartite 3 4 in
   check int "m" 12 (Graph.m g);
   check int "left degree" 4 (Graph.degree g 0);
   check int "right degree" 3 (Graph.degree g 5)
 
-let test_grid_torus () =
-  let g = Gen.grid 4 3 in
-  check int "grid m" ((3 * 3) + (2 * 4)) (Graph.m g);
-  check int "corner degree" 2 (Graph.degree g 0);
-  let t = Gen.torus 4 3 in
-  check bool "torus 4-regular" true
-    (Graph.is_regular t && Graph.max_degree t = 4);
-  check int "torus m" (2 * 12) (Graph.m t)
-
 let test_hypercube () =
   let g = Gen.hypercube 4 in
   check int "n" 16 (Graph.n g);
-  check bool "4-regular" true (Graph.is_regular g && Graph.max_degree g = 4);
-  check int "diameter = dimension" 4 (Traverse.diameter g)
+  check bool "4-regular" true (Graph.min_degree g = 4 && Graph.max_degree g = 4);
+  check int "diameter = dimension" 4 (Oracle.diameter g)
 
 let test_binary_tree () =
-  let g = Gen.binary_tree 7 in
+  let g = Fixtures.binary_tree 7 in
   check int "m" 6 (Graph.m g);
   check int "root degree" 2 (Graph.degree g 0);
   check bool "connected" true (Traverse.is_connected g)
@@ -144,7 +133,7 @@ let test_barbell_lollipop () =
   check int "n" 10 (Graph.n g);
   check int "m" ((2 * 10) + 1) (Graph.m g);
   check bool "connected" true (Traverse.is_connected g);
-  let l = Gen.lollipop 4 3 in
+  let l = Fixtures.lollipop 4 3 in
   check int "lollipop n" 7 (Graph.n l);
   check int "lollipop m" (6 + 3) (Graph.m l);
   check int "tail end degree" 1 (Graph.degree l 6)
@@ -178,24 +167,24 @@ let test_random_regular () =
   let rng = Rng.create 32 in
   List.iter
     (fun (n, d) ->
-      let g = Gen.random_regular rng n d in
+      let g = Gen.random_connected_regular rng n d in
       check bool
         (Printf.sprintf "%d-regular on %d nodes" d n)
         true
-        (Graph.is_regular g && Graph.max_degree g = d))
+        (Graph.min_degree g = d && Graph.max_degree g = d))
     [ (10, 3); (50, 4); (100, 8); (64, 9) ];
   Alcotest.check_raises "odd product"
     (Invalid_argument "Gen.random_regular: n * d must be even") (fun () ->
-      ignore (Gen.random_regular rng 5 3));
+      ignore (Gen.random_connected_regular rng 5 3));
   Alcotest.check_raises "d >= n" (Invalid_argument "Gen.random_regular: need d < n")
-    (fun () -> ignore (Gen.random_regular rng 4 4))
+    (fun () -> ignore (Gen.random_connected_regular rng 4 4))
 
 let test_random_connected_regular () =
   let rng = Rng.create 33 in
   for _ = 1 to 5 do
     let g = Gen.random_connected_regular rng 60 3 in
     check bool "connected" true (Traverse.is_connected g);
-    check bool "cubic" true (Graph.is_regular g && Graph.max_degree g = 3)
+    check bool "cubic" true (Graph.min_degree g = 3 && Graph.max_degree g = 3)
   done
 
 let test_random_regular_distribution () =
@@ -203,7 +192,7 @@ let test_random_regular_distribution () =
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
-      let g = Gen.random_regular rng 40 6 in
+      let g = Gen.random_connected_regular rng 40 6 in
       check int "volume" (40 * 6) (Graph.volume g);
       check (Alcotest.list int) "all degree 6"
         (List.init 40 (fun _ -> 6))
@@ -215,18 +204,10 @@ let test_random_regular_distribution () =
 let test_bfs_distances () =
   let g = Gen.path 5 in
   check (Alcotest.array int) "path distances" [| 0; 1; 2; 3; 4 |]
-    (Traverse.bfs g 0);
-  let g2 = Graph.of_edges 4 [ (0, 1) ] in
-  let d = Traverse.bfs g2 0 in
+    (Oracle.bfs g 0);
+  let g2 = Fixtures.of_edges 4 [ (0, 1) ] in
+  let d = Oracle.bfs g2 0 in
   check int "unreachable" (-1) d.(3)
-
-let test_components () =
-  let g = Graph.of_edges 6 [ (0, 1); (2, 3); (3, 4) ] in
-  let label, count = Traverse.components g in
-  check int "three components" 3 count;
-  check bool "0 and 1 together" true (label.(0) = label.(1));
-  check bool "2, 3, 4 together" true (label.(2) = label.(3) && label.(3) = label.(4));
-  check bool "5 alone" true (label.(5) <> label.(0) && label.(5) <> label.(2))
 
 let test_connectivity_edge_cases () =
   check bool "empty graph connected" true (Traverse.is_connected (Gen.empty 0));
@@ -234,33 +215,12 @@ let test_connectivity_edge_cases () =
   check bool "two isolated nodes" false (Traverse.is_connected (Gen.empty 2))
 
 let test_diameter () =
-  check int "path diameter" 4 (Traverse.diameter (Gen.path 5));
-  check int "clique diameter" 1 (Traverse.diameter (Gen.clique 5));
-  check int "cycle diameter" 3 (Traverse.diameter (Gen.cycle 7));
+  check int "path diameter" 4 (Oracle.diameter (Gen.path 5));
+  check int "clique diameter" 1 (Oracle.diameter (Gen.clique 5));
+  check int "cycle diameter" 3 (Oracle.diameter (Gen.cycle 7));
   Alcotest.check_raises "disconnected"
-    (Invalid_argument "Traverse.eccentricity: disconnected graph") (fun () ->
-      ignore (Traverse.diameter (Gen.empty 2)))
-
-let test_component_of () =
-  let g = Graph.of_edges 5 [ (0, 1); (1, 2) ] in
-  let comp = Traverse.component_of g 1 in
-  check int "component size" 3 (Bitset.cardinal comp);
-  check bool "contains 0" true (Bitset.mem comp 0);
-  check bool "not 4" false (Bitset.mem comp 4)
-
-(* --- Unionfind --- *)
-
-let test_unionfind () =
-  let u = Unionfind.create 5 in
-  check int "initial count" 5 (Unionfind.count u);
-  check bool "union" true (Unionfind.union u 0 1);
-  check bool "redundant union" false (Unionfind.union u 1 0);
-  check bool "same" true (Unionfind.same u 0 1);
-  check bool "not same" false (Unionfind.same u 0 2);
-  ignore (Unionfind.union u 2 3);
-  ignore (Unionfind.union u 0 3);
-  check int "count after unions" 2 (Unionfind.count u);
-  check bool "transitive" true (Unionfind.same u 1 2)
+    (Invalid_argument "Oracle.eccentricity: disconnected graph") (fun () ->
+      ignore (Oracle.diameter (Gen.empty 2)))
 
 let () =
   Alcotest.run "graph"
@@ -286,7 +246,6 @@ let () =
           Alcotest.test_case "path/cycle" `Quick test_path_cycle;
           Alcotest.test_case "circulant" `Quick test_circulant;
           Alcotest.test_case "complete bipartite" `Quick test_complete_bipartite;
-          Alcotest.test_case "grid/torus" `Quick test_grid_torus;
           Alcotest.test_case "hypercube" `Quick test_hypercube;
           Alcotest.test_case "binary tree" `Quick test_binary_tree;
           Alcotest.test_case "barbell/lollipop" `Quick test_barbell_lollipop;
@@ -302,11 +261,8 @@ let () =
       ( "traverse",
         [
           Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
-          Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "connectivity edge cases" `Quick
             test_connectivity_edge_cases;
           Alcotest.test_case "diameter" `Quick test_diameter;
-          Alcotest.test_case "component_of" `Quick test_component_of;
         ] );
-      ("unionfind", [ Alcotest.test_case "basic" `Quick test_unionfind ]);
     ]

@@ -147,7 +147,7 @@ let with_proxied_echo ?(seed = 1) fault f =
 let test_passthrough_relays () =
   let msg = "through the looking glass" in
   let got, stats =
-    with_proxied_echo Netchaos.passthrough (fun c ->
+    with_proxied_echo Fixtures.passthrough (fun c ->
         write_all c (Bytes.of_string msg);
         read_exactly c (String.length msg) 2.)
   in
@@ -163,7 +163,7 @@ let test_passthrough_relays () =
 let test_drop_all_delivers_nothing () =
   let got, stats =
     with_proxied_echo
-      { Netchaos.passthrough with Netchaos.drop_p = 1. }
+      { Fixtures.passthrough with Netchaos.drop_p = 1. }
       (fun c ->
         write_all c (Bytes.of_string "into the void");
         read_within c 0.3)
@@ -175,7 +175,7 @@ let test_reset_after_bytes () =
   let saw_reset, stats =
     with_proxied_echo
       {
-        Netchaos.passthrough with
+        Fixtures.passthrough with
         Netchaos.reset_after_bytes = Some 1024;
         max_resets = Some 1;
       }
@@ -203,7 +203,7 @@ let test_latency_delays_roundtrip () =
   let lat = 0.15 in
   let elapsed, _ =
     with_proxied_echo
-      { Netchaos.passthrough with Netchaos.latency_s = lat }
+      { Fixtures.passthrough with Netchaos.latency_s = lat }
       (fun c ->
         let t0 = Unix.gettimeofday () in
         write_all c (Bytes.of_string "ping");
@@ -219,7 +219,7 @@ let test_latency_delays_roundtrip () =
 let delivery_pattern ~seed =
   let pattern, _ =
     with_proxied_echo ~seed
-      { Netchaos.passthrough with Netchaos.drop_p = 0.5 }
+      { Fixtures.passthrough with Netchaos.drop_p = 0.5 }
       (fun c ->
         List.init 10 (fun i ->
             write_all c (Bytes.make 1 (Char.chr (Char.code 'a' + i)));
@@ -244,7 +244,7 @@ let test_stop_idempotent () =
     (fun () ->
       let proxy =
         Netchaos.start ~forward_host:"127.0.0.1" ~forward_port:echo.e_port
-          Netchaos.passthrough
+          Fixtures.passthrough
       in
       check bool "port assigned" true (Netchaos.port proxy > 0);
       Netchaos.stop proxy;

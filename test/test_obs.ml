@@ -146,21 +146,32 @@ let test_run_determinism () =
   check_string "metric snapshot identical on 1 vs 4 domains" snap1 snap4;
   check_bool "engines actually counted" true
     (String.length snap1 > 0
-    && List.assoc "async_cut.runs" (Obs.Metrics.counters ()) = 16)
+    && Obs.Metrics.value (Obs.Metrics.counter "async_cut.runs") = 16)
 
 (* --- Span --- *)
 
 let test_span () =
+  (* What the manifests record for a span: its count and total. *)
+  let recorded name =
+    let field f conv =
+      Option.bind (Obs.Json.member name (Obs.Span.snapshot ())) (fun j ->
+          Option.bind (Obs.Json.member f j) conv)
+    in
+    ( Option.value ~default:(-1) (field "count" Obs.Json.to_int_opt),
+      Option.value ~default:Float.nan (field "total_s" Obs.Json.to_float_opt) )
+  in
   Obs.Metrics.enable ();
   Obs.Span.reset ();
   let s = Obs.Span.create "test.span" in
   check_int "span thunk result" 41 (Obs.Span.time s (fun () -> 41));
-  Obs.Span.record_ns s 1_000_000;
-  check_int "span count" 2 (Obs.Span.count s);
-  check_bool "span total positive" true (Obs.Span.total_s s >= 0.001);
+  (* Test pacing: a timed thunk that takes at least 1 ms. *)
+  Obs.Span.time s (fun () -> Unix.sleepf 0.001);
+  let count, total = recorded "test.span" in
+  check_int "span count" 2 count;
+  check_bool "span total positive" true (total >= 0.001);
   Obs.Metrics.disable ();
   ignore (Obs.Span.time s (fun () -> 0));
-  check_int "disabled span not accumulated" 2 (Obs.Span.count s)
+  check_int "disabled span not accumulated" 2 (fst (recorded "test.span"))
 
 (* --- Sink + Run_manifest --- *)
 

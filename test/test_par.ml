@@ -465,8 +465,9 @@ let test_shard_merge_exactness () =
     (fun i x ->
       let s = shards.(i mod 3) in
       Obs.Metrics.Shard.observe s h x;
-      Obs.Metrics.Shard.incr s c;
-      Obs.Metrics.Shard.add s c 2)
+      for _ = 1 to 3 do
+        Obs.Metrics.Shard.incr s c
+      done)
     data;
   Array.iter Obs.Metrics.Shard.merge shards;
   let sharded = Obs.Json.to_string (Obs.Metrics.snapshot ()) in
@@ -479,7 +480,9 @@ let test_shard_reuse_and_gating () =
   Obs.Metrics.enable ();
   Obs.Metrics.reset ();
   let s = Obs.Metrics.Shard.create () in
-  Obs.Metrics.Shard.add s c 5;
+  for _ = 1 to 5 do
+    Obs.Metrics.Shard.incr s c
+  done;
   Obs.Metrics.Shard.merge s;
   check int "first merge lands" 5 (Obs.Metrics.value c);
   (* The shard is zeroed by merge: merging again adds nothing. *)
@@ -487,7 +490,9 @@ let test_shard_reuse_and_gating () =
   check int "merge is idempotent once drained" 5 (Obs.Metrics.value c);
   (* Shards respect the enabled flag like the global entry points. *)
   Obs.Metrics.disable ();
-  Obs.Metrics.Shard.add s c 7;
+  for _ = 1 to 7 do
+    Obs.Metrics.Shard.incr s c
+  done;
   Obs.Metrics.Shard.merge s;
   check int "disabled recording is dropped" 5 (Obs.Metrics.value c)
 

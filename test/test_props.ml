@@ -17,7 +17,7 @@ let prop_handshake =
     QCheck.(pair arb_seed (int_range 2 40))
     (fun (seed, n) ->
       let g = gen_er seed n 0.3 in
-      Array.fold_left ( + ) 0 (Metrics.degree_array g) = 2 * Graph.m g)
+      Array.fold_left ( + ) 0 (Array.init (Graph.n g) (Graph.degree g)) = 2 * Graph.m g)
 
 let prop_edges_simple =
   QCheck.Test.make ~count ~name:"generated graphs are simple"
@@ -53,15 +53,15 @@ let prop_random_regular_is_regular =
     QCheck.(pair arb_seed (int_range 3 8))
     (fun (seed, d) ->
       let n = if (16 * d) mod 2 = 0 then 16 else 17 in
-      let g = Gen.random_regular (Rng.create seed) n d in
-      Graph.is_regular g && Graph.max_degree g = d)
+      let g = Gen.random_connected_regular (Rng.create seed) n d in
+      Graph.min_degree g = d && Graph.max_degree g = d)
 
 let prop_bfs_triangle_inequality =
   QCheck.Test.make ~count:50 ~name:"BFS distances obey edge relaxation"
     arb_seed
     (fun seed ->
       let g = gen_er seed 20 0.3 in
-      let dist = Traverse.bfs g 0 in
+      let dist = Oracle.bfs g 0 in
       let ok = ref true in
       Graph.iter_edges
         (fun u v ->
@@ -122,9 +122,9 @@ let prop_diligence_le_rho_times =
       for _ = 1 to 20 do
         let s = Bitset.create 10 in
         for u = 0 to 9 do
-          if Rng.bool rng then ignore (Bitset.add s u)
+          if Fixtures.coin rng then ignore (Bitset.add s u)
         done;
-        let vol_s = Cut.volume_of g s in
+        let vol_s = Oracle.volume_of g s in
         let vol_g = Graph.volume g in
         if vol_s > 0 && vol_s < vol_g then begin
           let lambda =
@@ -133,7 +133,7 @@ let prop_diligence_le_rho_times =
                 acc
                 +. (1. /. float_of_int (Graph.degree g u))
                 +. (1. /. float_of_int (Graph.degree g v)))
-              0. (Cut.cut_edges g s)
+              0. (Oracle.cut_edges g s)
           in
           let min_side =
             min (Bitset.cardinal s) (10 - Bitset.cardinal s)
@@ -189,18 +189,6 @@ let prop_fenwick_matches_naive =
       done;
       !ok)
 
-let prop_heap_sorts =
-  QCheck.Test.make ~count ~name:"heap drains in sorted order"
-    QCheck.(list (float_range (-100.) 100.))
-    (fun keys ->
-      let h = Heap.of_list (List.map (fun k -> (k, ())) keys) in
-      let rec drain acc =
-        match Heap.pop h with Some (k, ()) -> drain (k :: acc) | None -> List.rev acc
-      in
-      let drained = drain [] in
-      drained = List.sort compare keys)
-
-(* --- Simulation invariants --- *)
 
 let prop_async_completes_on_connected =
   QCheck.Test.make ~count:30 ~name:"async completes on connected static graphs"
@@ -252,38 +240,25 @@ let prop_flooding_fastest =
 
 (* --- Degree sequences --- *)
 
-let prop_havel_hakimi_sound =
-  QCheck.Test.make ~count:50 ~name:"havel-hakimi realizes graphical sequences"
-    arb_seed
-    (fun seed ->
-      (* Generate a guaranteed-graphical sequence by reading degrees
-         off a random graph. *)
-      let g = gen_er seed 12 0.4 in
-      let seq = Metrics.degree_array g in
-      QCheck.assume (Degree_seq.is_graphical seq);
-      let h = Degree_seq.havel_hakimi seq in
-      let got = Metrics.degree_array h in
-      let a = Array.copy seq and b = Array.copy got in
-      Array.sort compare a;
-      Array.sort compare b;
-      a = b)
-
-let prop_degree_sequence_of_graph_graphical =
-  QCheck.Test.make ~count ~name:"degree sequence of any graph is graphical"
-    arb_seed
-    (fun seed ->
-      let g = gen_er seed 14 0.5 in
-      Degree_seq.is_graphical (Metrics.degree_array g))
-
+(* Theorem 1.5's network realizes its degree sequence at step 0: the
+   A-side is 4-regular except the special node (Delta, plus the
+   bridge), the B-side Delta-regular except the bridged node. *)
+let prop_absolute_degree_sequence =
+  QCheck.Test.make ~count:20 ~name:"absolute family realizes G(A, 4, Delta)"
+    QCheck.(pair (int_range 60 150) (oneofl [ 0.1; 0.2; 0.5 ]))
+    (fun (half, rho) ->
+      let n = 2 * half in
+      let delta = Absolute.delta_of_rho rho in
+      QCheck.assume (Absolute.admissible ~n ~rho && half >= (2 * delta) + 6);
+      let inst = (Absolute.network ~n ~rho).Dynet.spawn (Rng.create 1) in
+      let g = (Dynet.next inst ~informed:(Bitset.create n)).Dynet.graph in
+      Fixtures.degree_histogram g
+      = List.sort compare
+          [ (4, half - 1); (delta, n - half - 1); (delta + 1, 2) ]
+      && Graph.degree g 0 = delta + 1
+      && Traverse.is_connected g)
 
 (* --- serialization and combinator properties --- *)
-
-let prop_graph6_roundtrip =
-  QCheck.Test.make ~count:50 ~name:"graph6 round-trips arbitrary graphs"
-    QCheck.(pair arb_seed (int_range 1 70))
-    (fun (seed, n) ->
-      let g = gen_er seed n 0.25 in
-      Graph.equal g (Graph6.decode (Graph6.encode g)))
 
 let prop_dropout_subgraph =
   QCheck.Test.make ~count:50 ~name:"dropout yields a subgraph with same nodes"
@@ -350,7 +325,8 @@ let () =
           ] );
       ( "containers",
         to_alcotest
-          [ prop_bitset_add_remove; prop_fenwick_matches_naive; prop_heap_sorts ] );
+          [ prop_bitset_add_remove; prop_fenwick_matches_naive ] );
+      ("degree sequences", to_alcotest [ prop_absolute_degree_sequence ]);
       ( "simulation",
         to_alcotest
           [
@@ -359,13 +335,9 @@ let () =
             prop_sync_informed_monotone;
             prop_flooding_fastest;
           ] );
-      ( "degree sequences",
-        to_alcotest
-          [ prop_havel_hakimi_sound; prop_degree_sequence_of_graph_graphical ] );
           ( "extensions",
         to_alcotest
           [
-            prop_graph6_roundtrip;
             prop_dropout_subgraph;
             prop_ks_identical_zero;
             prop_trace_phases_le_events;

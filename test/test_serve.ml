@@ -544,19 +544,9 @@ let test_serve_adaptive_matches_offline () =
       let w = 0.3 in
       let q = { (q32 ~reps:64 ~seed:5150 ()) with Query.ci_width = Some w } in
       let chunk = 4 in
-      let offline =
-        Run.async_spread_sweep_adaptive ~jobs:1 ~horizon:q.Query.horizon
-          ~engine:q.Query.engine ~protocol:q.Query.protocol
-          ~rate:q.Query.rate ~faults:(Query.fault_plan q)
-          ~config:
-            (Adaptive.config ~level:q.Query.ci_level
-               ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps
-               ~chunk:Query.ci_cadence (Adaptive.Abs w))
-          (Rng.create q.Query.seed)
-          (Family.build (Query.family_params q))
-      in
+      let offline = Query.sweep ~jobs:1 q in
       let expected =
-        Array.to_list (Run.quantiles_of_sweep offline.Run.sweep q.Query.points)
+        Array.to_list (Run.quantiles_of_sweep offline q.Query.points)
         |> List.map (Printf.sprintf "%h")
       in
       let config =
@@ -567,51 +557,75 @@ let test_serve_adaptive_matches_offline () =
           send_query c q;
           let j = recv_json c in
           check str "a result" "result" (jstr "k" j);
-          check int "same stopping point" offline.Run.consumed (jint "reps" j);
+          check int "same stopping point" (Array.length offline.Run.outcomes)
+            (jint "reps" j);
           check bool "converged before the budget" true
             (jint "reps" j < q.Query.reps);
           check bool "same quantile bits" true (hex_quantiles j = expected);
           Unix.close c.fd))
 
-(* One key, one answer: a served [ci_width] result must not depend on
-   the server's [chunk].  For every chunk and seed, the served
-   stopping point and quantile bits equal one offline [Query.sweep]
-   run without a chunk. *)
-let test_serve_adaptive_ignores_chunk () =
-  List.iter
-    (fun seed ->
-      let q = { (q32 ~reps:64 ~seed ()) with Query.ci_width = Some 0.3 } in
+(* One key, one answer: no server config field changes a served
+   sample.  For a drawn query (fixed-count or [ci_width], on a small
+   clique) and two drawn configs (chunk 1-32, jobs 1/2/4, throttle on
+   or off), the answer computed under the first and the one replayed
+   from its store under the second both carry the stopping point and
+   quantile bits of one offline [Query.sweep]. *)
+let prop_serve_config_independent =
+  let arb_config =
+    QCheck.(triple (int_range 1 32) (oneofl [ 1; 2; 4 ]) bool)
+  in
+  QCheck.Test.make ~count:12 ~name:"answer independent of server config"
+    QCheck.(
+      pair
+        (triple (int_range 1 100_000) bool (int_range 8 24))
+        (pair arb_config arb_config))
+    (fun ((seed, adaptive, n), (config_a, config_b)) ->
+      let q =
+        if adaptive then
+          { (Query.default ~family:"clique" ~n) with
+            Query.reps = 64; seed; ci_width = Some 0.3 }
+        else { (Query.default ~family:"clique" ~n) with Query.reps = 24; seed }
+      in
       let offline = Query.sweep ~jobs:1 q in
+      let reps = Array.length offline.Run.outcomes in
       let expected =
         Array.to_list (Run.quantiles_of_sweep offline q.Query.points)
         |> List.map (Printf.sprintf "%h")
       in
-      List.iter
-        (fun chunk ->
-          let dir = tmpdir () in
-          Fun.protect
-            ~finally:(fun () -> rm_rf dir)
-            (fun () ->
-              let config =
-                {
-                  (Server.default_config ~dir) with
-                  Server.fsync = false;
-                  chunk;
-                }
-              in
-              with_server config (fun _t port ->
-                  let c = connect port in
-                  send_query c q;
-                  let j = recv_json c in
-                  let what = Printf.sprintf "seed %d chunk %d" seed chunk in
-                  check str (what ^ ": a result") "result" (jstr "k" j);
-                  check int (what ^ ": same stopping point")
-                    (Array.length offline.Run.outcomes) (jint "reps" j);
-                  check bool (what ^ ": same quantile bits") true
-                    (hex_quantiles j = expected);
-                  Unix.close c.fd)))
-        [ 1; 4; 8; 16; 32 ])
-    [ 5150; 1 ]
+      let dir = tmpdir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let serve (chunk, jobs, throttle) =
+            let config =
+              {
+                (Server.default_config ~dir) with
+                Server.fsync = false;
+                chunk;
+                jobs = Some jobs;
+                throttle_s = (if throttle then 0.001 else 0.);
+              }
+            in
+            with_server config (fun _t port ->
+                let c = connect port in
+                send_query c q;
+                let j = recv_json c in
+                Unix.close c.fd;
+                j)
+          in
+          let answers_match what j =
+            if jstr "k" j <> "result" then
+              QCheck.Test.fail_reportf "%s: no result" what;
+            if jint "reps" j <> reps || hex_quantiles j <> expected then
+              QCheck.Test.fail_reportf "%s: %d reps, offline %d" what
+                (jint "reps" j) reps;
+            true
+          in
+          let computed = serve config_a in
+          let replayed = serve config_b in
+          answers_match "computed" computed
+          && jstr "cache" replayed = "hit"
+          && answers_match "replayed from the store" replayed))
 
 (* The warm-cache gate: a cache hit must answer at least 100x faster
    than the cold compute of the same query (clique-256, 32 replicates),
@@ -681,8 +695,7 @@ let () =
             test_serve_preseeded_checkpoint;
           Alcotest.test_case "adaptive query = offline adaptive sweep" `Quick
             test_serve_adaptive_matches_offline;
-          Alcotest.test_case "adaptive answer independent of server chunk"
-            `Quick test_serve_adaptive_ignores_chunk;
+          QCheck_alcotest.to_alcotest prop_serve_config_independent;
           Alcotest.test_case "warm hit >= 100x cold" `Quick
             test_serve_warm_hit_speedup;
         ] );

@@ -1,11 +1,11 @@
-(* Tests for the exact eigensolver, graph6 serialization, and random
-   walks — the second wave of substrate. *)
+(* The dense eigensolver oracle (test/eigen.ml) on matrices with known
+   eigenvalues and on classical graph spectra, then used to check the
+   library's conductance and spectral-gap computations (Cut, Spectral). *)
 
 open Rumor_core.Rumor
 
 let check = Alcotest.check
 let bool = Alcotest.bool
-let int = Alcotest.int
 let flt6 = Alcotest.float 1e-6
 let flt3 = Alcotest.float 1e-3
 
@@ -72,7 +72,7 @@ let test_spectrum_cycle () =
 
 let test_spectrum_complete_bipartite () =
   (* K_{a,b} normalized adjacency: +-1 and 0s. *)
-  let eig = Eigen.normalized_adjacency_spectrum (Gen.complete_bipartite 3 4) in
+  let eig = Eigen.normalized_adjacency_spectrum (Fixtures.complete_bipartite 3 4) in
   check flt6 "top 1" 1. eig.(6);
   check flt6 "bottom -1" (-1.) eig.(0);
   for i = 1 to 5 do
@@ -105,114 +105,6 @@ let test_eigen_vs_power_iteration () =
   let est = Spectral.estimate ~iterations:3000 rng g in
   check flt3 "gap agreement" exact_lazy_gap est.Spectral.gap
 
-(* --- graph6 --- *)
-
-let test_graph6_known_encodings () =
-  (* K_3 is "Bw" and P_3 (path 0-1-2) is "Bg" per the nauty spec
-     examples. *)
-  check Alcotest.string "K3" "Bw" (Graph6.encode (Gen.clique 3));
-  let p3 = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
-  check Alcotest.string "P3" "Bg" (Graph6.encode p3);
-  check Alcotest.string "K1" "@" (Graph6.encode (Gen.empty 1))
-
-let test_graph6_roundtrip () =
-  let rng = Rng.create 3 in
-  List.iter
-    (fun g ->
-      let decoded = Graph6.decode (Graph6.encode g) in
-      check bool "roundtrip" true (Graph.equal g decoded))
-    [
-      Gen.empty 5;
-      Gen.clique 10;
-      Gen.star 17;
-      Gen.cycle 63 (* crosses the 62-node short-header boundary *);
-      Gen.cycle 64;
-      Gen.erdos_renyi rng 30 0.3;
-      Gen.hypercube 5;
-    ]
-
-let test_graph6_long_header () =
-  let g = Gen.cycle 100 in
-  let s = Graph6.encode g in
-  check bool "long header" true (s.[0] = '~');
-  check bool "roundtrip" true (Graph.equal g (Graph6.decode s))
-
-let test_graph6_prefix_and_whitespace () =
-  let g = Gen.clique 4 in
-  let s = ">>graph6<<" ^ Graph6.encode g ^ "\n" in
-  check bool "prefix accepted" true (Graph.equal g (Graph6.decode s))
-
-let test_graph6_rejects () =
-  Alcotest.check_raises "empty" (Invalid_argument "Graph6.decode: empty input")
-    (fun () -> ignore (Graph6.decode ""));
-  Alcotest.check_raises "truncated"
-    (Invalid_argument "Graph6.decode: truncated adjacency") (fun () ->
-      ignore (Graph6.decode "D"))
-
-(* --- random walks --- *)
-
-let test_cover_time_clique_coupon_collector () =
-  (* Cover time of K_n is ~ n H_n (coupon collector). *)
-  let n = 32 in
-  let net = Dynet.of_static (Gen.clique n) in
-  let mean = Walk.mean_cover_time ~reps:60 (Rng.create 4) net ~start:0 in
-  let harmonic =
-    Array.fold_left ( +. ) 0. (Array.init n (fun i -> 1. /. float_of_int (i + 1)))
-  in
-  let expected = float_of_int (n - 1) *. harmonic in
-  check bool "within 25% of n H_n" true
-    (abs_float (mean -. expected) < 0.25 *. expected)
-
-let test_cover_time_cycle_quadratic () =
-  (* Cover time of C_n is n(n-1)/2 exactly in expectation. *)
-  let n = 24 in
-  let net = Dynet.of_static (Gen.cycle n) in
-  let mean = Walk.mean_cover_time ~reps:80 (Rng.create 5) net ~start:0 in
-  let expected = float_of_int (n * (n - 1)) /. 2. in
-  check bool "within 25% of n(n-1)/2" true
-    (abs_float (mean -. expected) < 0.25 *. expected)
-
-let test_hitting_time_path_end () =
-  (* On a path, hitting the far end from the start is n^2-ish; just
-     check completion and sanity. *)
-  let net = Dynet.of_static (Gen.path 10) in
-  let r = Walk.hitting_time (Rng.create 6) net ~start:0 ~target:9 in
-  check bool "complete" true r.Walk.complete;
-  check bool "at least distance" true (r.Walk.steps >= 9)
-
-let test_walk_bounds_checks () =
-  let net = Dynet.of_static (Gen.cycle 5) in
-  Alcotest.check_raises "bad start" (Invalid_argument "Walk: start out of range")
-    (fun () -> ignore (Walk.cover_time (Rng.create 7) net ~start:9));
-  Alcotest.check_raises "bad laziness"
-    (Invalid_argument "Walk: laziness must lie in [0, 1)") (fun () ->
-      ignore (Walk.cover_time ~laziness:1.0 (Rng.create 7) net ~start:0))
-
-let test_walk_max_steps () =
-  (* Disconnected: can never cover. *)
-  let g = Graph.of_edges 4 [ (0, 1) ] in
-  let net = Dynet.of_static g in
-  let r = Walk.cover_time ~max_steps:100 (Rng.create 8) net ~start:0 in
-  check bool "incomplete" false r.Walk.complete;
-  check int "capped" 100 r.Walk.steps;
-  check int "visited only component" 2 r.Walk.visited
-
-let test_walk_on_dynamic () =
-  (* On the re-centering star the walker still covers: every node is
-     adjacent to the centre each step. *)
-  let net = Dichotomy.g2 ~n:12 in
-  let r = Walk.cover_time ~max_steps:100_000 (Rng.create 9) net ~start:0 in
-  check bool "covers the dynamic star" true r.Walk.complete
-
-let test_lazy_walk_slower () =
-  let net = Dynet.of_static (Gen.cycle 16) in
-  let fast = Walk.mean_cover_time ~reps:200 (Rng.create 10) net ~start:0 in
-  let lazy_ =
-    Walk.mean_cover_time ~reps:200 ~laziness:0.5 (Rng.create 11) net ~start:0
-  in
-  check bool "laziness roughly doubles cover time" true
-    (lazy_ > 1.5 *. fast && lazy_ < 2.7 *. fast)
-
 let () =
   Alcotest.run "spectral_walk"
     [
@@ -234,26 +126,5 @@ let () =
             test_cheeger_sandwich_exact;
           Alcotest.test_case "eigen vs power iteration" `Quick
             test_eigen_vs_power_iteration;
-        ] );
-      ( "graph6",
-        [
-          Alcotest.test_case "known encodings" `Quick test_graph6_known_encodings;
-          Alcotest.test_case "roundtrip" `Quick test_graph6_roundtrip;
-          Alcotest.test_case "long header" `Quick test_graph6_long_header;
-          Alcotest.test_case "prefix/whitespace" `Quick
-            test_graph6_prefix_and_whitespace;
-          Alcotest.test_case "rejects malformed" `Quick test_graph6_rejects;
-        ] );
-      ( "random walks",
-        [
-          Alcotest.test_case "clique cover = coupon collector" `Slow
-            test_cover_time_clique_coupon_collector;
-          Alcotest.test_case "cycle cover quadratic" `Slow
-            test_cover_time_cycle_quadratic;
-          Alcotest.test_case "hitting time on path" `Quick test_hitting_time_path_end;
-          Alcotest.test_case "bounds checks" `Quick test_walk_bounds_checks;
-          Alcotest.test_case "max steps cap" `Quick test_walk_max_steps;
-          Alcotest.test_case "dynamic star cover" `Quick test_walk_on_dynamic;
-          Alcotest.test_case "lazy walk slower" `Slow test_lazy_walk_slower;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Unit tests for the utility substrate: Bitset, Heap, Fenwick, Table,
+(* Unit tests for the utility substrate: Bitset, Fenwick, Table,
    Ascii_plot. *)
 
 open Rumor_core.Rumor
@@ -42,21 +42,8 @@ let test_bitset_word_boundaries () =
     [ 0; 62; 63; 64; 125; 126; 127; 199 ]
     (Bitset.to_list s)
 
-let test_bitset_complement () =
-  let s = Bitset.of_list 130 [ 0; 1; 2; 129 ] in
-  let c = Bitset.create 130 in
-  Bitset.complement_into s c;
-  check int "complement cardinal" 126 (Bitset.cardinal c);
-  check bool "0 not in complement" false (Bitset.mem c 0);
-  check bool "3 in complement" true (Bitset.mem c 3);
-  check bool "129 not in complement" false (Bitset.mem c 129);
-  (* No stray bits above capacity: complement twice is identity. *)
-  let s2 = Bitset.create 130 in
-  Bitset.complement_into c s2;
-  check bool "double complement" true (Bitset.equal s s2)
-
 let test_bitset_copy_independent () =
-  let s = Bitset.of_list 16 [ 3; 7 ] in
+  let s = Fixtures.bitset 16 [ 3; 7 ] in
   let c = Bitset.copy s in
   ignore (Bitset.add c 9);
   check bool "copy add does not leak" false (Bitset.mem s 9);
@@ -71,58 +58,8 @@ let test_bitset_full () =
   check bool "empty universe is full" true (Bitset.is_full zero)
 
 let test_bitset_fold () =
-  let s = Bitset.of_list 50 [ 10; 20; 30 ] in
+  let s = Fixtures.bitset 50 [ 10; 20; 30 ] in
   check int "fold sum" 60 (Bitset.fold ( + ) s 0)
-
-(* --- Heap --- *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k (int_of_float k)) [ 5.; 1.; 4.; 2.; 3. ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (k, _) ->
-      out := k :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list flt) "sorted ascending" [ 1.; 2.; 3.; 4.; 5. ]
-    (List.rev !out)
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  check bool "is_empty" true (Heap.is_empty h);
-  check bool "pop None" true (Heap.pop h = None);
-  Alcotest.check_raises "pop_exn raises"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let test_heap_duplicates_and_payloads () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "a";
-  Heap.push h 1.0 "b";
-  Heap.push h 0.5 "c";
-  check int "length" 3 (Heap.length h);
-  let k, p = Heap.pop_exn h in
-  check flt "min key" 0.5 k;
-  check Alcotest.string "min payload" "c" p;
-  ignore (Heap.pop_exn h);
-  ignore (Heap.pop_exn h);
-  check bool "drained" true (Heap.is_empty h)
-
-let test_heap_random_against_sort () =
-  let rng = Rng.create 7 in
-  let keys = Array.init 500 (fun _ -> Rng.float rng) in
-  let h = Heap.of_list (Array.to_list (Array.map (fun k -> (k, ())) keys)) in
-  let sorted = Array.copy keys in
-  Array.sort compare sorted;
-  Array.iter
-    (fun expected ->
-      let k, () = Heap.pop_exn h in
-      check flt "heap matches sort" expected k)
-    sorted
 
 (* --- Fenwick --- *)
 
@@ -147,8 +84,8 @@ let test_fenwick_find () =
 let test_fenwick_set_add () =
   let f = Fenwick.create 5 in
   Fenwick.set f 2 3.0;
-  Fenwick.add f 2 1.5;
-  Fenwick.add f 4 2.0;
+  Fenwick.add_many f [| 2 |] [| 1.5 |] 1;
+  Fenwick.add_many f [| 4 |] [| 2.0 |] 1;
   check flt "get" 4.5 (Fenwick.get f 2);
   check flt "total" 6.5 (Fenwick.total f);
   Fenwick.set f 2 0.;
@@ -158,7 +95,7 @@ let test_fenwick_set_add () =
 let test_fenwick_negative_clamp () =
   let f = Fenwick.create 2 in
   Fenwick.set f 0 1.0;
-  Fenwick.add f 0 (-1.0000000001);
+  Fenwick.add_many f [| 0 |] [| (-1.0000000001) |] 1;
   check bool "clamped to >= 0" true (Fenwick.get f 0 >= 0.)
 
 (* The batch forms are the single-slot operations in order: only the
@@ -171,7 +108,7 @@ let test_fenwick_batches () =
   done;
   Fenwick.set_many batch slots values 4;
   for j = 0 to 3 do
-    Fenwick.add single slots.(j) (values.(j) *. 0.5)
+    Fenwick.add_many single [| slots.(j) |] [| (values.(j) *. 0.5) |] 1
   done;
   Fenwick.add_many batch slots (Array.map (fun x -> x *. 0.5) values) 4;
   for i = 0 to 5 do
@@ -205,20 +142,33 @@ let test_fenwick_sampling_frequencies () =
 
 (* --- Table --- *)
 
+(* What [f] writes to stdout, through a temporary file. *)
+let capture_stdout f =
+  let path = Filename.temp_file "rumor_table" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  s
+
 let test_table_render () =
   let t = Table.create ~aligns:[ Table.Left; Table.Right ] [ "name"; "value" ] in
   Table.add_row t [ "alpha"; "1" ];
   Table.add_row t [ "b"; "22" ];
-  let rendered = Table.render t in
-  check bool "contains header" true
-    (String.length rendered > 0
-    && String.sub rendered 0 4 = "name");
-  (* Right-aligned numeric column. *)
-  check bool "right aligned" true
-    (let lines = String.split_on_char '\n' rendered in
-     match lines with
-     | _header :: _sep :: row1 :: _ -> String.length row1 > 0
-     | _ -> false)
+  check Alcotest.string "printed table"
+    "T\nname   value\n-----  -----\nalpha      1\nb         22\n\n"
+    (capture_stdout (fun () -> Table.print ~title:"T" t))
 
 let test_table_arity_mismatch () =
   let t = Table.create [ "a"; "b" ] in
@@ -278,13 +228,11 @@ let test_parse_duration_invalid () =
 let test_stream_moments () =
   let s = Stream.create () in
   check bool "empty mean is nan" true (Float.is_nan (Stream.mean s));
-  check bool "empty min is nan" true (Float.is_nan (Stream.min s));
+  check bool "empty max is nan" true (Float.is_nan (Stream.max s));
   List.iter (Stream.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  check int "count" 8 (Stream.count s);
   check flt "mean" 5. (Stream.mean s);
   (* reference: unbiased sample variance of the same list *)
   check flt "variance" (32. /. 7.) (Stream.variance s);
-  check flt "min" 2. (Stream.min s);
   check flt "max" 9. (Stream.max s)
 
 let test_stream_matches_descriptive () =
@@ -359,17 +307,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_bitset_basic;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "word boundaries" `Quick test_bitset_word_boundaries;
-          Alcotest.test_case "complement" `Quick test_bitset_complement;
           Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
           Alcotest.test_case "is_full" `Quick test_bitset_full;
           Alcotest.test_case "fold" `Quick test_bitset_fold;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "order" `Quick test_heap_order;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "duplicates/payloads" `Quick test_heap_duplicates_and_payloads;
-          Alcotest.test_case "random vs sort" `Quick test_heap_random_against_sort;
         ] );
       ( "fenwick",
         [
