@@ -67,6 +67,57 @@ let lollipop clique_size path_len =
   done;
   Builder.freeze b
 
+(* [grid w h]: the 4-neighbour lattice without wraparound. *)
+let grid w h =
+  let idx x y = (y * w) + x in
+  let b = Builder.create (w * h) in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      if x + 1 < w then Builder.add_edge_exn b (idx x y) (idx (x + 1) y);
+      if y + 1 < h then Builder.add_edge_exn b (idx x y) (idx x (y + 1))
+    done
+  done;
+  Builder.freeze b
+
+(* [torus w h]: the lattice with wraparound; 4-regular for [w, h >= 3]. *)
+let torus w h =
+  let idx x y = (y * w) + x in
+  let b = Builder.create (w * h) in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      ignore (Builder.add_edge b (idx x y) (idx ((x + 1) mod w) y));
+      ignore (Builder.add_edge b (idx x y) (idx x ((y + 1) mod h)))
+    done
+  done;
+  Builder.freeze b
+
+(* [wheel n]: node 0 as hub joined to an (n-1)-cycle on the rest. *)
+let wheel n =
+  let b = Builder.create n in
+  for i = 1 to n - 1 do
+    Builder.add_edge_exn b 0 i;
+    ignore (Builder.add_edge b i (if i = n - 1 then 1 else i + 1))
+  done;
+  Builder.freeze b
+
+(* [random_geometric_torus rng n radius]: [n] uniform points on the
+   unit torus, joined when their toroidal distance is at most
+   [radius]. *)
+let random_geometric_torus rng n radius =
+  let pts = Array.init n (fun _ -> (Rng.float rng, Rng.float rng)) in
+  let dist (x1, y1) (x2, y2) =
+    let wrap d = let d = Float.abs d in Float.min d (1. -. d) in
+    let dx = wrap (x1 -. x2) and dy = wrap (y1 -. y2) in
+    sqrt ((dx *. dx) +. (dy *. dy))
+  in
+  let b = Builder.create n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if dist pts.(i) pts.(j) <= radius then Builder.add_edge_exn b i j
+    done
+  done;
+  Builder.freeze b
+
 (* --- Dynamic-network wrappers ---
 
    Inputs that drive the engines through step kinds the library's own
@@ -96,6 +147,53 @@ let with_node_outage ~p (base : Dynet.t) =
                   Builder.add_edge_exn b u v)
               g;
             Dynet.info_of_graph ~changed:true (Builder.freeze b)))
+  }
+
+(* Persistent crash/recovery per node: everyone starts online, and at
+   each step boundary each node flips with its transition probability.
+   A crashed node loses every edge. *)
+let with_churn ~crash ~recover (base : Dynet.t) =
+  let n = base.Dynet.n in
+  {
+    Dynet.n;
+    name = Printf.sprintf "churn(%.2g, %.2g, %s)" crash recover base.Dynet.name;
+    source_hint = base.Dynet.source_hint;
+    spawn =
+      (fun rng ->
+        let inner = base.Dynet.spawn rng in
+        let offline = Array.make n false in
+        Dynet.make_instance (fun ~step ~informed ->
+            let info = Dynet.next inner ~informed in
+            if step > 0 then
+              for u = 0 to n - 1 do
+                if offline.(u) then begin
+                  if Rng.bernoulli rng recover then offline.(u) <- false
+                end
+                else if Rng.bernoulli rng crash then offline.(u) <- true
+              done;
+            let g = info.Dynet.graph in
+            let b = Builder.create (Graph.n g) in
+            Graph.iter_edges
+              (fun u v ->
+                if (not offline.(u)) && not offline.(v) then
+                  Builder.add_edge_exn b u v)
+              g;
+            Dynet.info_of_graph ~changed:true (Builder.freeze b)))
+  }
+
+(* [map_graph f base]: [base] with [f ~step] applied to every exposed
+   graph. *)
+let map_graph f (base : Dynet.t) =
+  {
+    Dynet.n = base.Dynet.n;
+    name = Printf.sprintf "map(%s)" base.Dynet.name;
+    source_hint = base.Dynet.source_hint;
+    spawn =
+      (fun rng ->
+        let inner = base.Dynet.spawn rng in
+        Dynet.make_instance (fun ~step ~informed ->
+            let info = Dynet.next inner ~informed in
+            Dynet.info_of_graph ~changed:true (f ~step info.Dynet.graph)))
   }
 
 let with_partition ~from_step ~until_step ~side (base : Dynet.t) =

@@ -67,6 +67,26 @@ let bfs g s =
   done;
   dist
 
+(* The set of nodes reachable from [s]. *)
+let component_of g s =
+  let set = Bitset.create (Graph.n g) in
+  Array.iteri (fun u d -> if d >= 0 then ignore (Bitset.add set u)) (bfs g s);
+  set
+
+(* Connected components: a label per node, labels [0 .. count-1] in
+   order of each component's smallest node, and [count]. *)
+let components g =
+  let label = Array.make (Graph.n g) (-1) in
+  let count = ref 0 in
+  Array.iteri
+    (fun s l ->
+      if l < 0 then begin
+        Array.iteri (fun u d -> if d >= 0 then label.(u) <- !count) (bfs g s);
+        incr count
+      end)
+    label;
+  (label, !count)
+
 (* Largest finite hop distance from [s]. *)
 let eccentricity g s =
   let dist = bfs g s in

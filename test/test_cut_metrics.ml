@@ -156,6 +156,20 @@ let test_absolute_diligence_range () =
         (r >= 1. /. float_of_int (Graph.n g - 1) -. 1e-12 && r <= 1.))
     [ Gen.clique_with_pendant 8; Gen.erdos_renyi rng 12 0.4; Gen.barbell 5 ]
 
+let test_mean_degree_histogram () =
+  let g = Gen.star 5 in
+  check flt "mean degree" (8. /. 5.)
+    (float_of_int (Graph.volume g) /. float_of_int (Graph.n g));
+  check
+    (Alcotest.list (Alcotest.pair int int))
+    "histogram" [ (1, 4); (4, 1) ] (Fixtures.degree_histogram g)
+
+(* rho-diligence (Definition 1.2) as the strict threshold on
+   [Cut.diligence_exact]: the clique is 0.5- but not 1-diligent. *)
+let test_is_rho_diligent () =
+  check bool "clique is 0.5-diligent" true (Cut.diligence_exact (Gen.clique 6) > 0.5);
+  check bool "clique is not 1-diligent" false (Cut.diligence_exact (Gen.clique 6) > 1.0)
+
 let test_spectral_sweep_upper_bounds_exact () =
   (* The sweep value is an attained cut, so >= Phi; on these simple
      graphs power iteration finds the optimum (or near it). *)
@@ -233,6 +247,8 @@ let () =
             test_absolute_diligence_closed_forms;
           Alcotest.test_case "absolute diligence range" `Quick
             test_absolute_diligence_range;
+          Alcotest.test_case "mean degree/histogram" `Quick test_mean_degree_histogram;
+          Alcotest.test_case "is_rho_diligent" `Quick test_is_rho_diligent;
         ] );
       ( "spectral",
         [

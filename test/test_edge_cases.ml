@@ -78,6 +78,10 @@ let test_min_degree_with_isolated () =
   check int "min degree 0" 0 (Graph.min_degree g);
   check int "max degree 1" 1 (Graph.max_degree g)
 
+let test_grid_1xn_is_path () =
+  let g = Fixtures.grid 5 1 in
+  check bool "1xN grid = path" true (Graph.equal g (Gen.path 5))
+
 let test_circulant_half_stride () =
   (* stride exactly n/2: each chord appears once (i and i+n/2 give the
      same pair), degree 1 from that class. *)
@@ -234,6 +238,7 @@ let () =
           Alcotest.test_case "K2 parameters" `Quick test_k2_parameters;
           Alcotest.test_case "isolated node degrees" `Quick
             test_min_degree_with_isolated;
+          Alcotest.test_case "1xN grid" `Quick test_grid_1xn_is_path;
           Alcotest.test_case "circulant half stride" `Quick
             test_circulant_half_stride;
           Alcotest.test_case "builder degree tracking" `Quick

@@ -12,6 +12,15 @@ let empty_informed n = Bitset.create n
 
 (* --- new generators --- *)
 
+let test_wheel () =
+  let g = Fixtures.wheel 8 in
+  check int "hub degree" 7 (Graph.degree g 0);
+  for u = 1 to 7 do
+    check int "rim degree" 3 (Graph.degree g u)
+  done;
+  check int "m" 14 (Graph.m g);
+  check bool "connected" true (Traverse.is_connected g)
+
 let test_watts_strogatz_structure () =
   let rng = Rng.create 1 in
   (* beta = 0: the pure ring lattice, 2k-regular. *)
@@ -108,6 +117,18 @@ let test_dropout_spread_still_completes () =
   let r = Async_cut.run ~horizon:1e4 (Rng.create 11) net ~source:0 in
   check bool "completes under dropout" true r.Async_result.complete
 
+let test_random_geometric () =
+  let rng = Rng.create 6 in
+  let g0 = Fixtures.random_geometric_torus rng 50 0. in
+  check int "radius 0 -> empty" 0 (Graph.m g0);
+  let gfull = Fixtures.random_geometric_torus rng 20 1.0 in
+  check int "radius >= diag -> complete" (20 * 19 / 2) (Graph.m gfull);
+  (* Monotone in radius (same points impossible across calls, so test
+     expected density ordering statistically). *)
+  let dense = Fixtures.random_geometric_torus rng 100 0.2 in
+  let sparse = Fixtures.random_geometric_torus rng 100 0.05 in
+  check bool "denser with bigger radius" true (Graph.m dense > Graph.m sparse)
+
 let test_interleave () =
   let a = Dynet.of_static ~name:"cycle" (Gen.cycle 8) in
   let b = Dynet.of_static ~name:"clique" (Gen.clique 8) in
@@ -120,6 +141,23 @@ let test_interleave () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Fixtures.interleave: node-count mismatch") (fun () ->
       ignore (Fixtures.interleave [ a; Dynet.of_static (Gen.cycle 9) ]))
+
+let test_map_graph () =
+  let base = Dynet.of_static (Gen.cycle 8) in
+  (* Surgery: add a chord at each step. *)
+  let net =
+    Fixtures.map_graph
+      (fun ~step:_ g ->
+        let b = Builder.create (Graph.n g) in
+        Graph.iter_edges (fun u v -> Builder.add_edge_exn b u v) g;
+        ignore (Builder.add_edge b 0 4);
+        Builder.freeze b)
+      base
+  in
+  let inst = net.Dynet.spawn (Rng.create 13) in
+  let g = (Dynet.next inst ~informed:(empty_informed 8)).Dynet.graph in
+  check int "chord added" 9 (Graph.m g);
+  check bool "chord present" true (Graph.has_edge g 0 4)
 
 let test_node_outage_statistics () =
   let base = Dynet.of_static (Gen.clique 40) in
@@ -411,6 +449,7 @@ let () =
     [
       ( "generators",
         [
+          Alcotest.test_case "wheel" `Quick test_wheel;
           Alcotest.test_case "watts-strogatz structure" `Quick
             test_watts_strogatz_structure;
           Alcotest.test_case "watts-strogatz small world" `Quick
@@ -420,6 +459,7 @@ let () =
           Alcotest.test_case "barabasi-albert" `Quick test_barabasi_albert;
           Alcotest.test_case "barabasi-albert rejects" `Quick
             test_barabasi_albert_rejects;
+          Alcotest.test_case "random geometric" `Quick test_random_geometric;
         ] );
       ( "combinators",
         [
@@ -431,6 +471,7 @@ let () =
           Alcotest.test_case "dropout still completes" `Quick
             test_dropout_spread_still_completes;
           Alcotest.test_case "interleave" `Quick test_interleave;
+          Alcotest.test_case "map_graph" `Quick test_map_graph;
           Alcotest.test_case "node outage statistics" `Quick
             test_node_outage_statistics;
           Alcotest.test_case "node outage completes" `Quick

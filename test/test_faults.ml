@@ -213,6 +213,29 @@ let test_crashed_nodes_inert () =
 
 (* --- Graph-level combinators --- *)
 
+let prop_with_churn_subgraph =
+  QCheck.Test.make ~count:50 ~name:"with_churn exposes subgraphs of the base"
+    QCheck.(triple (int_range 0 100_000) (int_range 4 24) (int_range 1 10))
+    (fun (seed, n, steps) ->
+      let g = Gen.clique n in
+      let net =
+        Fixtures.with_churn ~crash:0.3 ~recover:0.4
+          (Dynet.of_static g)
+      in
+      let inst = net.Dynet.spawn (Rng.create seed) in
+      let informed = Bitset.create n in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let info = Dynet.next inst ~informed in
+        if Graph.n info.Dynet.graph <> n then ok := false;
+        Graph.iter_edges
+          (fun u v ->
+            if u < 0 || v < 0 || u >= n || v >= n then ok := false;
+            if not (Graph.has_edge g u v) then ok := false)
+          info.Dynet.graph
+      done;
+      !ok)
+
 let prop_with_partition_window =
   QCheck.Test.make ~count:50
     ~name:"with_partition cuts cross edges exactly inside the window"
@@ -245,6 +268,18 @@ let prop_with_partition_window =
 (* --- Horizon_exceeded and censored estimates --- *)
 
 let disconnected = Dynet.of_static (Fixtures.of_edges 4 [ (0, 1) ])
+
+(* A run cut short by the horizon carries the time it reached and the
+   informed set; a complete run carries its spread time. *)
+let test_horizon_exceeded () =
+  let r = Async_cut.run ~horizon:10. (Rng.create 21) disconnected ~source:0 in
+  check bool "incomplete" false r.Async_result.complete;
+  check bool "carries the horizon" true (r.Async_result.time >= 10.);
+  check int "carries the informed count" 2
+    (Bitset.cardinal r.Async_result.informed);
+  let complete = Async_cut.run (Rng.create 22) (Dynet.of_static (Gen.clique 4)) ~source:0 in
+  check bool "complete runs carry a finite time" true
+    (complete.Async_result.complete && Float.is_finite complete.Async_result.time)
 
 let test_estimate_censored_flag () =
   let est =
@@ -557,10 +592,13 @@ let () =
             test_partition_delays_k2;
           Alcotest.test_case "crashed nodes are inert" `Quick
             test_crashed_nodes_inert;
+          QCheck_alcotest.to_alcotest prop_with_churn_subgraph;
           QCheck_alcotest.to_alcotest prop_with_partition_window;
         ] );
       ( "censoring",
         [
+          Alcotest.test_case "Horizon_exceeded payload" `Quick
+            test_horizon_exceeded;
           Alcotest.test_case "Estimate flags censored quantiles" `Quick
             test_estimate_censored_flag;
         ] );

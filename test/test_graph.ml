@@ -116,6 +116,15 @@ let test_complete_bipartite () =
   check int "left degree" 4 (Graph.degree g 0);
   check int "right degree" 3 (Graph.degree g 5)
 
+let test_grid_torus () =
+  let g = Fixtures.grid 4 3 in
+  check int "grid m" ((3 * 3) + (2 * 4)) (Graph.m g);
+  check int "corner degree" 2 (Graph.degree g 0);
+  let t = Fixtures.torus 4 3 in
+  check bool "torus 4-regular" true
+    (Graph.min_degree t = 4 && Graph.max_degree t = 4);
+  check int "torus m" (2 * 12) (Graph.m t)
+
 let test_hypercube () =
   let g = Gen.hypercube 4 in
   check int "n" 16 (Graph.n g);
@@ -209,6 +218,28 @@ let test_bfs_distances () =
   let d = Oracle.bfs g2 0 in
   check int "unreachable" (-1) d.(3)
 
+(* The oracle's components against the library's connectivity test. *)
+let test_components () =
+  let g = Fixtures.of_edges 6 [ (0, 1); (2, 3); (3, 4) ] in
+  let label, count = Oracle.components g in
+  check int "three components" 3 count;
+  check bool "0 and 1 together" true (label.(0) = label.(1));
+  check bool "2, 3, 4 together" true (label.(2) = label.(3) && label.(3) = label.(4));
+  check bool "5 alone" true (label.(5) <> label.(0) && label.(5) <> label.(2));
+  check bool "not connected" false (Traverse.is_connected g);
+  List.iter
+    (fun g ->
+      check bool "one component iff connected" (Traverse.is_connected g)
+        (snd (Oracle.components g) = 1))
+    [ Gen.path 5; Gen.cycle 6; Fixtures.of_edges 4 [ (0, 1); (2, 3) ] ]
+
+let test_component_of () =
+  let g = Fixtures.of_edges 5 [ (0, 1); (1, 2) ] in
+  let comp = Oracle.component_of g 1 in
+  check int "component size" 3 (Bitset.cardinal comp);
+  check bool "contains 0" true (Bitset.mem comp 0);
+  check bool "not 4" false (Bitset.mem comp 4)
+
 let test_connectivity_edge_cases () =
   check bool "empty graph connected" true (Traverse.is_connected (Gen.empty 0));
   check bool "single node connected" true (Traverse.is_connected (Gen.empty 1));
@@ -246,6 +277,7 @@ let () =
           Alcotest.test_case "path/cycle" `Quick test_path_cycle;
           Alcotest.test_case "circulant" `Quick test_circulant;
           Alcotest.test_case "complete bipartite" `Quick test_complete_bipartite;
+          Alcotest.test_case "grid/torus" `Quick test_grid_torus;
           Alcotest.test_case "hypercube" `Quick test_hypercube;
           Alcotest.test_case "binary tree" `Quick test_binary_tree;
           Alcotest.test_case "barbell/lollipop" `Quick test_barbell_lollipop;
@@ -261,8 +293,10 @@ let () =
       ( "traverse",
         [
           Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
+          Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "connectivity edge cases" `Quick
             test_connectivity_edge_cases;
           Alcotest.test_case "diameter" `Quick test_diameter;
+          Alcotest.test_case "component_of" `Quick test_component_of;
         ] );
     ]

@@ -33,6 +33,16 @@ let test_kahan_stability () =
   check (Alcotest.float 1e-11) "compensated mean"
     ((1e8 +. (float_of_int n *. 1e-3)) /. float_of_int (n + 1)) m
 
+(* The normal-approximation 95% interval, mean +- 1.96 standard
+   errors. *)
+let test_ci95 () =
+  let xs = Array.init 1000 (fun i -> float_of_int (i mod 10)) in
+  let mu = Descriptive.mean xs in
+  let half = 1.96 *. Descriptive.std_error xs in
+  let lo, hi = (mu -. half, mu +. half) in
+  check bool "contains mean" true (lo < mu && mu < hi);
+  check bool "narrow" true (hi -. lo < 0.5)
+
 let test_quantiles_known () =
   let xs = [| 1.; 2.; 3.; 4.; 5. |] in
   check flt "median" 3. (Quantile.quantile xs 0.5);
@@ -53,6 +63,12 @@ let test_quantile_errors () =
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Quantile: q outside [0, 1]") (fun () ->
       ignore (Quantile.quantile [| 1. |] 1.5))
+
+let test_iqr () =
+  let xs = Array.init 101 (fun i -> float_of_int i) in
+  match Quantile.quantiles xs [ 0.25; 0.75 ] with
+  | [ q1; q3 ] -> check flt "iqr" 50. (q3 -. q1)
+  | _ -> Alcotest.fail "two quantiles expected"
 
 let test_quantile_tiny_samples () =
   (* The adaptive sweep can stop with very short usable prefixes; the
@@ -183,12 +199,14 @@ let () =
           Alcotest.test_case "singleton" `Quick test_singleton;
           Alcotest.test_case "empty raises" `Quick test_empty_raises;
           Alcotest.test_case "kahan stability" `Quick test_kahan_stability;
+          Alcotest.test_case "ci95" `Quick test_ci95;
         ] );
       ( "quantile",
         [
           Alcotest.test_case "known values" `Quick test_quantiles_known;
           Alcotest.test_case "unsorted input" `Quick test_quantile_unsorted_input;
           Alcotest.test_case "errors" `Quick test_quantile_errors;
+          Alcotest.test_case "iqr" `Quick test_iqr;
           Alcotest.test_case "tiny samples" `Quick test_quantile_tiny_samples;
           Alcotest.test_case "duplicates" `Quick test_quantile_duplicates;
           Alcotest.test_case "empirical tail" `Quick test_empirical_tail;
