@@ -63,7 +63,7 @@ type summary = {
   wall_s : float;
 }
 
-let wal_path config = Filename.concat config.dir "campaign.wal"
+let wal_file dir = Filename.concat dir "campaign.wal"
 let manifest_path config = Filename.concat config.dir "campaign.manifest.json"
 
 let rec mkdirs dir =
@@ -158,7 +158,7 @@ let write_manifest config summary =
 
 let run ?(cancel = Pool.global) config tasks =
   mkdirs config.dir;
-  let wal_file = wal_path config in
+  let wal_file = wal_file config.dir in
   if not config.resume then
     List.iter
       (fun p -> if Sys.file_exists p then Sys.remove p)

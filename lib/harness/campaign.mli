@@ -79,6 +79,10 @@ type summary = {
   wall_s : float;
 }
 
+val wal_file : string -> string
+(** [wal_file dir] = [<dir>/campaign.wal], the journal of a campaign
+    in [dir], whether {!run} or [Coordinator.run] drives it. *)
+
 val manifest_path : config -> string
 
 val install_signal_handlers : unit -> unit

@@ -86,7 +86,6 @@ type summary = {
   workers : worker_stats list;
 }
 
-let wal_path config = Filename.concat config.dir "campaign.wal"
 let manifest_path config = Filename.concat config.dir "campaign.manifest.json"
 let port_path config = Filename.concat config.dir "coord.port"
 let tasks_dir config = Filename.concat config.dir "tasks"
@@ -285,7 +284,7 @@ let run ?(cancel = Pool.global) ~spawn (config : config) task_ids =
   if config.batch < 1 then invalid_arg "Coordinator.run: batch must be >= 1";
   mkdirs config.dir;
   mkdirs (tasks_dir config);
-  let wal_file = wal_path config in
+  let wal_file = Campaign.wal_file config.dir in
   if not config.resume then begin
     List.iter
       (fun p -> if Sys.file_exists p then Sys.remove p)

@@ -149,7 +149,6 @@ let read_back path =
 
 exception Reconnect of string
 exception Fatal of string
-exception Orphaned
 
 let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
     ~transport ~id ~tasks_dir ~run_task () =
@@ -291,7 +290,7 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
           with
           | Some held -> held
           | None ->
-            if orphaned () then raise Orphaned;
+            if orphaned () then raise (Fatal "coordinator gone");
             let file, outcome =
               run_captured ~tasks_dir ~task ~lease ~epoch run_task
             in
@@ -354,7 +353,6 @@ let run ?(heartbeat_s = 0.5) ?(read_timeout_s = 30.) ?(max_reconnects = 100)
             | Fatal msg ->
               Printf.eprintf "rumor worker %d: %s\n%!" !sess_id msg;
               `Done 3
-            | Orphaned -> `Again "parent exited"
             | Reconnect why -> `Again why
             | Unix.Unix_error _ | Sys_error _ | Proto.Protocol_error _ ->
               `Again "connection error")

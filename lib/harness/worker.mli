@@ -44,6 +44,10 @@
     whichever worker, attempt, connection or job count executed the
     task. *)
 
+val partial_name : task:string -> lease:int -> epoch:int -> string
+(** Basename of a task's stamped capture file in [tasks_dir], in the
+    format given above. *)
+
 type transport =
   | Unix_sock of string  (** coordinator's Unix-domain socket path *)
   | Tcp of { host : string; port : int; token : string option }

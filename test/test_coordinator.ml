@@ -616,12 +616,6 @@ let test_coordinator_chaos_byte_identity () =
           check bool "outputs byte-identical under chaos" true
             (outputs ref_config tasks = outputs config tasks)))
 
-(* Heartbeat-timeout zombie: a hand-rolled first incarnation of slot 0
-   connects, takes a lease, then stops heartbeating — without dying.
-   After the timeout the coordinator must reclaim the lease and regrant
-   it; when the zombie finally submits its stale result, the stale
-   (lease, epoch) stamp must fence it, and the canonical output must be
-   the replacement's bytes. *)
 (* --- a worker whose coordinator is gone ---
 
    A hand-rolled coordinator on a Unix socket: [start_worker socket]
@@ -729,6 +723,12 @@ let test_worker_exits_when_orphaned () =
       Unix.close release_w;
       check int "no task ran" 0 (tasks_run marks))
 
+(* Heartbeat-timeout zombie: a hand-rolled first incarnation of slot 0
+   connects, takes a lease, then stops heartbeating — without dying.
+   After the timeout the coordinator must reclaim the lease and regrant
+   it; when the zombie finally submits its stale result, the stale
+   (lease, epoch) stamp must fence it, and the canonical output must be
+   the replacement's bytes. *)
 let test_coordinator_zombie_is_fenced () =
   with_temp_dir (fun dir ->
       let config =
@@ -768,7 +768,7 @@ let test_coordinator_zombie_is_fenced () =
                     (by now reclaimed) lease stamp. *)
                  Unix.sleepf 0.9;
                  (* The worker's stamped capture-file name. *)
-                 let file = Printf.sprintf ".%s.l%de%d.partial" task lease epoch in
+                 let file = Worker.partial_name ~task ~lease ~epoch in
                  write_file (Filename.concat tdir file) zombie_payload;
                  Proto.send fd
                    (Proto.to_json
@@ -821,7 +821,7 @@ let test_coordinator_replay_fencing () =
         { (quick_config ~dir ~workers:1) with Coordinator.resume = true }
       in
       Unix.mkdir (Coordinator.tasks_dir config) 0o755;
-      let wal = Wal.open_ ~fsync:false (Filename.concat config.Coordinator.dir "campaign.wal") in
+      let wal = Wal.open_ ~fsync:false (Campaign.wal_file config.Coordinator.dir) in
       let j fields = Obs.Json.Obj fields in
       let s v = Obs.Json.String v and i v = Obs.Json.Int v in
       List.iter (Wal.append wal)
@@ -1427,7 +1427,7 @@ let test_coordinator_resume_stamps_unique () =
         { (quick_config ~dir ~workers:1) with Coordinator.resume = true }
       in
       Unix.mkdir (Coordinator.tasks_dir config) 0o755;
-      let wal = Wal.open_ ~fsync:false (Filename.concat config.Coordinator.dir "campaign.wal") in
+      let wal = Wal.open_ ~fsync:false (Campaign.wal_file config.Coordinator.dir) in
       let j fields = Obs.Json.Obj fields in
       let s v = Obs.Json.String v and i v = Obs.Json.Int v in
       List.iter (Wal.append wal)

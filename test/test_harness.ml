@@ -398,11 +398,11 @@ let test_campaign_recovers_corrupt_journal () =
           let config = { (quick_config ~dir) with Campaign.resume = true } in
           (* A journal with a good record and a torn one, as a crash
              mid-append would leave. *)
-          let w = Wal.open_ ~fsync:false (Filename.concat config.Campaign.dir "campaign.wal") in
+          let w = Wal.open_ ~fsync:false (Campaign.wal_file config.Campaign.dir) in
           Wal.append w (sample_record 0);
           Wal.close w;
-          let content = read_file (Filename.concat config.Campaign.dir "campaign.wal") in
-          write_file (Filename.concat config.Campaign.dir "campaign.wal") (content ^ "{\"crc\":\"dead");
+          let content = read_file (Campaign.wal_file config.Campaign.dir) in
+          write_file (Campaign.wal_file config.Campaign.dir) (content ^ "{\"crc\":\"dead");
           let s =
             Campaign.run ~cancel:(Pool.token ()) config
               [ { Campaign.id = "T1"; run = (fun () -> ()) } ]

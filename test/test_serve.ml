@@ -535,7 +535,11 @@ let test_serve_preseeded_checkpoint () =
           Unix.close c.fd))
 
 (* A served [ci_width] query stops where the offline adaptive sweep
-   with the server's chunk stops, with the same bits. *)
+   stops, with the same bits.  The offline side is built by hand, not
+   through [Query.sweep]: a [ci_width] query maps onto an adaptive
+   sweep at the query's own cadence of 16 replicates (not the server's
+   chunk of 4), at [ci_level], with at least [min 16 reps] replicates
+   and at most [reps]. *)
 let test_serve_adaptive_matches_offline () =
   let dir = tmpdir () in
   Fun.protect
@@ -544,9 +548,20 @@ let test_serve_adaptive_matches_offline () =
       let w = 0.3 in
       let q = { (q32 ~reps:64 ~seed:5150 ()) with Query.ci_width = Some w } in
       let chunk = 4 in
-      let offline = Query.sweep ~jobs:1 q in
+      let offline =
+        Run.async_spread_sweep_adaptive ~jobs:1 ~horizon:q.Query.horizon
+          ~engine:q.Query.engine ~protocol:q.Query.protocol
+          ~rate:q.Query.rate (* [q32] asks for no faults *)
+          ~faults:Fault_plan.none
+          ~config:
+            (Adaptive.config ~level:q.Query.ci_level
+               ~min_reps:(min 16 q.Query.reps) ~max_reps:q.Query.reps
+               ~chunk:16 (Adaptive.Abs w))
+          (Rng.create q.Query.seed)
+          (Family.build (Query.family_params q))
+      in
       let expected =
-        Array.to_list (Run.quantiles_of_sweep offline q.Query.points)
+        Array.to_list (Run.quantiles_of_sweep offline.Run.sweep q.Query.points)
         |> List.map (Printf.sprintf "%h")
       in
       let config =
@@ -557,12 +572,51 @@ let test_serve_adaptive_matches_offline () =
           send_query c q;
           let j = recv_json c in
           check str "a result" "result" (jstr "k" j);
-          check int "same stopping point" (Array.length offline.Run.outcomes)
-            (jint "reps" j);
+          check int "same stopping point" offline.Run.consumed (jint "reps" j);
           check bool "converged before the budget" true
             (jint "reps" j < q.Query.reps);
           check bool "same quantile bits" true (hex_quantiles j = expected);
           Unix.close c.fd))
+
+(* One key, one answer: a served [ci_width] answer must not depend on
+   the server's [chunk].  For every chunk and two pinned seeds on
+   clique-32, the served stopping point and quantile bits equal one
+   offline [Query.sweep] run without a chunk. *)
+let test_serve_adaptive_ignores_chunk () =
+  List.iter
+    (fun seed ->
+      let q = { (q32 ~reps:64 ~seed ()) with Query.ci_width = Some 0.3 } in
+      let offline = Query.sweep ~jobs:1 q in
+      let expected =
+        Array.to_list (Run.quantiles_of_sweep offline q.Query.points)
+        |> List.map (Printf.sprintf "%h")
+      in
+      List.iter
+        (fun chunk ->
+          let dir = tmpdir () in
+          Fun.protect
+            ~finally:(fun () -> rm_rf dir)
+            (fun () ->
+              let config =
+                {
+                  (Server.default_config ~dir) with
+                  Server.fsync = false;
+                  chunk;
+                }
+              in
+              with_server config (fun _t port ->
+                  let c = connect port in
+                  send_query c q;
+                  let j = recv_json c in
+                  let what = Printf.sprintf "seed %d chunk %d" seed chunk in
+                  check str (what ^ ": a result") "result" (jstr "k" j);
+                  check int (what ^ ": same stopping point")
+                    (Array.length offline.Run.outcomes) (jint "reps" j);
+                  check bool (what ^ ": same quantile bits") true
+                    (hex_quantiles j = expected);
+                  Unix.close c.fd)))
+        [ 1; 4; 8; 16; 32 ])
+    [ 5150; 1 ]
 
 (* One key, one answer: no server config field changes a served
    sample.  For a drawn query (fixed-count or [ci_width], on a small
@@ -695,6 +749,8 @@ let () =
             test_serve_preseeded_checkpoint;
           Alcotest.test_case "adaptive query = offline adaptive sweep" `Quick
             test_serve_adaptive_matches_offline;
+          Alcotest.test_case "adaptive answer independent of server chunk"
+            `Quick test_serve_adaptive_ignores_chunk;
           QCheck_alcotest.to_alcotest prop_serve_config_independent;
           Alcotest.test_case "warm hit >= 100x cold" `Quick
             test_serve_warm_hit_speedup;
