@@ -57,15 +57,17 @@ module Mobile = Rumor_dynamic.Mobile
 module Adversary = Rumor_dynamic.Adversary
 module Family = Rumor_dynamic.Family
 
-(* Faults & hardened harness *)
+(* Faults and durable state: fault plans and injection, and the one
+   durable log format (Wal) behind sweep checkpoints, the campaign
+   journal and the serve store. *)
 module Fault_plan = Rumor_faults.Fault_plan
 module Checkpoint = Rumor_faults.Checkpoint
 module Inject = Rumor_faults.Inject
+module Wal = Rumor_faults.Wal
 
-(* Supervised campaign layer: durable WAL journal, crash-safe
-   campaign runner (per-replicate deadlines, task retry/backoff,
-   failure budget) with graceful shutdown and bit-identical resume. *)
-module Wal = Rumor_harness.Wal
+(* Supervised campaign layer: crash-safe campaign runner
+   (per-replicate deadlines, task retry/backoff, failure budget) with
+   graceful shutdown and bit-identical resume, journaled to a Wal. *)
 module Campaign = Rumor_harness.Campaign
 
 (* Multi-process campaign coordination: wire protocol, lease/epoch

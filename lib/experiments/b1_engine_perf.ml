@@ -24,6 +24,8 @@ let run ~full rng =
       ~aligns:[ Left; Right; Right; Right; Right ]
       [ "network"; "n"; "cut engine (ms/run)"; "tick engine (ms/run)"; "tick/cut" ]
   in
+  (* (n, tick/cut) on the cycle rows, for the note. *)
+  let cycle_ratios = ref [] in
   List.iter
     (fun n ->
       List.iter
@@ -43,6 +45,8 @@ let run ~full rng =
           in
           let cut = time `Cut in
           let tick = time `Tick in
+          if label = "cycle" && cut > 0. then
+            cycle_ratios := (n, tick /. cut) :: !cycle_ratios;
           Table.add_row table
             [
               label;
@@ -61,12 +65,22 @@ let run ~full rng =
     Experiment.add_table out
       "CPU time per run: cut-rate engine vs literal tick engine" table
   in
+  let cycle_ratios = List.rev !cycle_ratios in
+  let rec rising = function
+    | (_, a) :: ((_, b) :: _ as rest) -> a < b && rising rest
+    | _ -> true
+  in
   let out =
     Experiment.add_note out
-      "the tick/cut ratio grows with the spread time (cycle: 16x to 55x and \
-       rising) because the tick engine simulates every wasted clock; on dense \
-       fast-spreading graphs (clique) the tick engine is actually cheaper, \
-       since the cut engine pays O(deg) weight updates per informed node."
+      (Printf.sprintf
+         "cycle tick/cut measured %s: %s with the spread time, since the tick \
+          engine simulates every wasted clock; on dense fast-spreading graphs \
+          (clique) the tick engine is actually cheaper, since the cut engine \
+          pays O(deg) weight updates per informed node."
+         (String.concat ", "
+            (List.map (fun (n, r) -> Printf.sprintf "%.1fx at n=%d" r n) cycle_ratios))
+         (if rising cycle_ratios then "it grows" else "not monotone in n here (timer \
+          noise), though it should grow"))
   in
   Experiment.add_note out
     "rule of thumb: use Cut unless the graph is dense AND the spread is \

@@ -9,31 +9,35 @@
     uses: a resumed sweep reproduces bit-identical samples to an
     uninterrupted one.
 
-    Times are serialized as hexadecimal floats ([%h]) so the round trip
-    through disk is exact.  The format is line-oriented text:
+    {b Format} — a checkpoint is a {!Wal} log ([rumor-wal/1]), the
+    one durable format the campaign journal and the serve store use
+    too.  Each record holds outcomes, seed first:
 
     {v
-    rumor-checkpoint v2 crc32=<hex8>
-    <seed-hex> finished <time-hex>
-    <seed-hex> censored <time-hex>
-    <seed-hex> failed <escaped message>
+    {"out":[["<seed-hex>","finished","<time %h>"],
+            ["<seed-hex>","censored","<time %h>"],
+            ["<seed-hex>","failed","<message>"]]}
     v}
 
-    {b Durability} — {!save} writes through a temporary file that is
-    flushed and [fsync]ed {e before} [Sys.rename] publishes it, so a
-    crash at any point leaves either the old checkpoint or the new one,
-    never a torn file under the final name.  The header carries the
-    CRC-32 of the payload (everything after the header line).
+    Seeds are hexadecimal [int64], times hexadecimal floats ([%h]),
+    so the round trip through disk is exact; failure messages are
+    ordinary JSON strings.
 
-    {b Load validation} — {!load} rejects (with a stderr warning and
-    the [checkpoint.bad_magic] counter) any file whose first line is
-    not a known magic; legacy ["rumor-checkpoint v1"] files (no CRC)
-    are still read.  A v2 payload failing its CRC is surfaced via
-    [checkpoint.crc_mismatches] and degrades to per-line parsing.
-    Malformed lines are never silently dropped: they are counted in
-    [checkpoint.corrupt_lines] and one stderr warning reports the
-    first offending line number (a torn write still loses at most its
-    own replicate). *)
+    {b Saving} — {!save} appends {e one} record holding only the
+    outcomes whose seeds the file does not hold yet, so the bytes a
+    chunk writes do not depend on how many replicates came before.
+    Nothing new means nothing written and no [fsync].  Appends are
+    [fsync]ed (counted in [harness.wal_appends]); the first save
+    creates the file by {!Wal.rewrite}'s tmp-fsync-rename.
+
+    {b Damage} — a record failing its CRC, or a torn tail, is
+    skipped by {!load} and quarantined by the next {!save} (counted in
+    [harness.wal_corrupt_records]); only its replicates re-run.  A
+    file whose first line is not [rumor-wal/1] — a legacy
+    ["rumor-checkpoint v1"]/["v2"] file included — is counted in
+    [checkpoint.bad_magic], warned about on stderr and ignored: its
+    replicates re-run bit-identically, and the next {!save} with
+    outcomes replaces it with a WAL. *)
 
 type outcome =
   | Finished of float  (** every node informed at this time *)
@@ -46,12 +50,11 @@ val fingerprint : Rumor_rng.Rng.t -> int64
 (** Stable 64-bit key of an RNG state, without advancing it. *)
 
 val save : string -> seeds:int64 array -> outcomes:outcome option array -> unit
-(** Write every decided outcome ([Some _]) keyed by its seed.  Pending
-    replicates ([None]) are omitted and will be re-run on resume.
+(** Persist every decided outcome ([Some _]) keyed by its seed, by
+    appending those the file lacks.  Pending replicates ([None]) are
+    omitted and will be re-run on resume.
     @raise Invalid_argument if the arrays' lengths differ. *)
 
 val load : string -> (int64, outcome) Hashtbl.t
-(** Read a checkpoint file back (v2 with CRC verification, or legacy
-    v1).  Returns an empty table if the file does not exist or its
-    magic line is wrong; lines it cannot parse are counted and warned
-    about, never silently skipped (see the format notes above). *)
+(** Read a checkpoint back.  Returns an empty table if the file does
+    not exist or is not a WAL (see above). *)

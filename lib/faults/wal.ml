@@ -4,7 +4,9 @@ module Crc32 = Rumor_util.Crc32
 
 let magic = "rumor-wal/1"
 
-(* Telemetry (lib/obs): recovery accounting for the campaign journal.
+(* Telemetry (lib/obs): recovery accounting for every durable log —
+   campaign journal, serve store and sweep checkpoints alike.  The
+   [harness.] prefix predates the move out of lib/harness.
    [wal_corrupt_records] is the load-bearing one — the acceptance
    tests assert it is nonzero whenever a record was quarantined. *)
 let m_corrupt = Obs.counter "harness.wal_corrupt_records"
@@ -68,10 +70,24 @@ let parse_record line =
       | _ -> None)
     | _ -> None)
 
+(* The one rewrite path for logs: the whole content is built first and
+   published by [write_atomic], so a crash leaves the old log or the
+   new one. *)
+let rewrite path records =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf magic;
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun rec_ ->
+      Buffer.add_string buf (render_record rec_);
+      Buffer.add_char buf '\n')
+    records;
+  write_atomic path (Buffer.contents buf)
+
 (* --- scanning --- *)
 
 type scan = {
-  valid : (string * Json.t) list;  (* (line, payload), append order *)
+  valid : Json.t list;  (* payloads, append order *)
   corrupt : string list;  (* quarantined lines, append order *)
   torn : bool;
   terminated : bool;  (* final line carried its newline *)
@@ -110,7 +126,7 @@ let scan_content ~path content =
       if line = "" then ()
       else
         match parse_record line with
-        | Some rec_ -> valid := (line, rec_) :: !valid
+        | Some rec_ -> valid := rec_ :: !valid
         | None ->
           corrupt := line :: !corrupt;
           if is_last && not terminated then torn := true)
@@ -122,18 +138,19 @@ let scan_content ~path content =
     terminated;
   }
 
+let no_file =
+  { records = []; corrupt_records = 0; truncated_tail = false; existed = false }
+
 let recovery_of_scan ~existed scan =
   {
-    records = List.map snd scan.valid;
+    records = scan.valid;
     corrupt_records = List.length scan.corrupt;
     truncated_tail = scan.torn;
     existed;
   }
 
 let read path =
-  if not (Sys.file_exists path) then
-    { records = []; corrupt_records = 0; truncated_tail = false;
-      existed = false }
+  if not (Sys.file_exists path) then no_file
   else recovery_of_scan ~existed:true (scan_content ~path (read_all path))
 
 (* --- opening: create, or recover and compact --- *)
@@ -157,9 +174,8 @@ let open_ ?(fsync = true) path =
   let existed = Sys.file_exists path in
   let recovery =
     if not existed then begin
-      write_atomic path (magic ^ "\n");
-      { records = []; corrupt_records = 0; truncated_tail = false;
-        existed = false }
+      rewrite path [];
+      no_file
     end
     else begin
       let scan = scan_content ~path (read_all path) in
@@ -168,7 +184,9 @@ let open_ ?(fsync = true) path =
            file, then the log is compacted down to what verified so
            the next crash starts from a clean file.  Compaction also
            re-terminates a torn-but-verifying tail (its newline was
-           lost) so later appends start on a fresh line. *)
+           lost) so later appends start on a fresh line.  Re-rendering
+           the records reproduces every line [append] wrote byte for
+           byte: the codec's renderings are canonical. *)
         if scan.corrupt <> [] then begin
           quarantine ~fsync path scan.corrupt;
           Obs.add m_corrupt (List.length scan.corrupt);
@@ -180,15 +198,7 @@ let open_ ?(fsync = true) path =
             (if scan.torn then " (torn tail)" else "")
             (quarantine_path path)
         end;
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf magic;
-        Buffer.add_char buf '\n';
-        List.iter
-          (fun (line, _) ->
-            Buffer.add_string buf line;
-            Buffer.add_char buf '\n')
-          scan.valid;
-        write_atomic path (Buffer.contents buf)
+        rewrite path scan.valid
       end;
       Obs.add m_recovered (List.length scan.valid);
       recovery_of_scan ~existed:true scan
@@ -220,6 +230,7 @@ let close t =
       | None -> ()
       | Some oc ->
         t.oc <- None;
-        (try sync_channel oc with
+        (* With [fsync] on, every append already reached the disk. *)
+        (try if t.fsync then flush oc else sync_channel oc with
         | Sys_error _ | Unix.Unix_error (_, _, _) -> ());
         close_out_noerr oc)

@@ -1,11 +1,12 @@
-(** Durable campaign journal: an append-only JSONL write-ahead log
+(** The one durable log format: an append-only JSONL write-ahead log
     with per-record CRC32 framing and crash recovery.
 
-    The supervised campaign runner records every decided unit of work
-    (a replicate outcome, a task transition) here {e before} moving
-    on, so a crash — power loss included — loses at most the record
-    in flight, and a resumed campaign replays exactly what was
-    decided.
+    Three writers share it: the campaign journal (every task
+    transition and decided unit of work, recorded {e before} moving
+    on), the serve result store ([results.wal]) and sweep checkpoints
+    ({!Checkpoint}, one record of newly decided replicate outcomes per
+    save).  A crash — power loss included — loses at most the record
+    in flight, and a resumed run replays exactly what was decided.
 
     {b Format} ([rumor-wal/1]) — a magic first line, then one JSON
     object per line:
@@ -32,8 +33,13 @@
     terminating newline; kept only if its CRC still verifies).
     Offenders are appended to [<path>.quarantine], tallied in the
     [harness.wal_corrupt_records] counter, and the log is compacted
-    (atomically, same tmp-fsync-rename discipline) down to the records
-    that verified, so a recovered log is clean for the next crash. *)
+    (by {!rewrite}) down to the records that verified, so a recovered
+    log is clean for the next crash.
+
+    {b Rewrites} — every whole-log rewrite goes through {!rewrite}:
+    the fresh header, recovery compaction, the serve store's
+    compaction and the replacement of a checkpoint file that is not a
+    WAL.  (The metric names keep their historical [harness.] prefix.) *)
 
 module Json = Rumor_obs.Json
 
@@ -72,7 +78,8 @@ val append : t -> Json.t -> unit
     @raise Invalid_argument on a closed log. *)
 
 val close : t -> unit
-(** Flush, sync and close.  Idempotent. *)
+(** Flush, sync (unless [fsync] already synced every append) and
+    close.  Idempotent. *)
 
 val quarantine_path : string -> string
 (** [<path>.quarantine] — where recovery moves untrusted records. *)
@@ -83,10 +90,17 @@ val read : string -> recovery
     counters.  A missing file reads as an empty recovery.
     @raise Bad_magic as {!open_}. *)
 
+val rewrite : string -> Json.t list -> unit
+(** [rewrite path records] atomically publishes, by {!write_atomic},
+    a log holding exactly [records] in order: the same bytes as a
+    fresh log given those appends.  Close any handle open on [path]
+    first; it would keep appending to the replaced file. *)
+
 val write_atomic : string -> string -> unit
 (** [write_atomic path content] publishes [content] under [path] via
     tmp-file, flush, [fsync], [Sys.rename], then an [fsync] of the
     parent directory (so the rename itself survives power loss, not
-    just the file contents) — the discipline used for the WAL header,
-    compaction, and the campaign manifest.  A crash at any point
+    just the file contents) — the discipline used by {!rewrite} and
+    for the campaign and serve manifests and the coordinator's port
+    file.  A crash at any point
     leaves either the old file or the new one, never a torn mix. *)

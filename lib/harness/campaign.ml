@@ -3,6 +3,7 @@ module Run = Rumor_sim.Run
 module Obs = Rumor_obs.Metrics
 module Clock = Rumor_obs.Clock
 module Json = Rumor_obs.Json
+module Wal = Rumor_faults.Wal
 
 (* Telemetry (lib/obs): task attempts retried and tasks quarantined. *)
 let m_retries = Obs.counter "harness.retries"

@@ -4,10 +4,10 @@
     SIGINT/SIGTERM shutdown with bit-identical resume.
 
     The runner journals every task transition to
-    [<dir>/campaign.wal] (see {!Wal} for the [rumor-wal/1] format and
-    its recovery guarantees) {e before} acting on it, and publishes a
-    [<dir>/campaign.manifest.json] summary on every exit path —
-    completion, quarantine, budget abort and shutdown alike.
+    [<dir>/campaign.wal] (see {!Rumor_faults.Wal} for the [rumor-wal/1]
+    format and its recovery guarantees) {e before} acting on it, and
+    publishes a [<dir>/campaign.manifest.json] summary on every exit
+    path — completion, quarantine, budget abort and shutdown alike.
 
     {b Shutdown} — {!install_signal_handlers} routes SIGINT/SIGTERM
     to {!Rumor_par.Pool.cancel} on {!Rumor_par.Pool.global}: every

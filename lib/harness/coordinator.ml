@@ -4,6 +4,7 @@ module Clock = Rumor_obs.Clock
 module Json = Rumor_obs.Json
 module Rng = Rumor_rng.Rng
 module Net = Rumor_util.Net
+module Wal = Rumor_faults.Wal
 
 (* Telemetry (lib/obs): the process-supervision layer.  These are the
    numbers the chaos tests assert on — a recovery that silently loses

@@ -2,7 +2,7 @@ module Json = Rumor_obs.Json
 module Clock = Rumor_obs.Clock
 module Metrics = Rumor_obs.Metrics
 module Proto = Rumor_harness.Proto
-module Wal = Rumor_harness.Wal
+module Wal = Rumor_faults.Wal
 module Provenance = Rumor_harness.Provenance
 module Run = Rumor_sim.Run
 

@@ -1,5 +1,5 @@
 module Json = Rumor_obs.Json
-module Wal = Rumor_harness.Wal
+module Wal = Rumor_faults.Wal
 
 type entry = {
   query : Query.t;
@@ -121,20 +121,15 @@ let oldest t =
     t.table None
 
 let compact t =
-  let tmp = wal_path t.dir ^ ".compact" in
-  if Sys.file_exists tmp then Sys.remove tmp;
-  let fresh = Wal.open_ ~fsync:t.fsync tmp in
   (* Oldest first so replay order preserves LRU order. *)
   let slots =
     List.sort
       (fun (_, a) (_, b) -> compare a.stamp b.stamp)
       (Hashtbl.fold (fun fp slot acc -> (fp, slot) :: acc) t.table [])
   in
-  List.iter (fun (fp, slot) -> Wal.append fresh (result_record fp slot.entry)) slots;
-  Wal.close fresh;
   Wal.close t.wal;
-  Sys.rename tmp (wal_path t.dir);
-  Rumor_util.Fsutil.fsync_dir t.dir;
+  Wal.rewrite (wal_path t.dir)
+    (List.map (fun (fp, slot) -> result_record fp slot.entry) slots);
   t.wal <- Wal.open_ ~fsync:t.fsync (wal_path t.dir);
   t.journal_total <- List.length slots
 

@@ -1,6 +1,6 @@
 (** The memoized result store: an in-memory LRU map from query
     fingerprints to finished sweep summaries, journaled to a
-    crash-safe {!Rumor_harness.Wal} so a restarted server serves its
+    crash-safe {!Rumor_faults.Wal} so a restarted server serves its
     warm set again.
 
     {b Journal.}  One [results.wal] under the cache directory holds
@@ -13,9 +13,9 @@
 
     {b Compaction.}  When live entries fall below half the journal's
     records (and the journal is non-trivial), or recovery quarantined
-    a corrupt record, the live set is rewritten to a fresh WAL and
-    atomically renamed over the old one — eviction churn cannot grow
-    the journal without bound, and a torn tail never survives a
+    a corrupt record, the live set is published as a fresh WAL by
+    {!Rumor_faults.Wal.rewrite} — eviction churn cannot grow the
+    journal without bound, and a torn tail never survives a
     restart.
 
     Not thread-safe: the server confines the store to its event-loop

@@ -1,9 +1,7 @@
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+let fsync_parent_dir path =
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (_, _, _) -> ()
   | fd ->
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let fsync_parent_dir path = fsync_dir (Filename.dirname path)

@@ -401,18 +401,6 @@ let test_checkpoint_roundtrip () =
       | _ -> Alcotest.fail "expected Failed");
       check bool "pending replicate omitted" true (not (Hashtbl.mem table 4L)))
 
-let test_checkpoint_missing_and_garbage () =
-  check int "missing file loads empty" 0
-    (Hashtbl.length (Checkpoint.load "/nonexistent/rumor-ckpt"));
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc "rumor-checkpoint v1\nnot a valid line\n7b finished 0x1p+1\n";
-      close_out oc;
-      let table = Checkpoint.load path in
-      check int "garbage line skipped" 1 (Hashtbl.length table);
-      check bool "valid line kept" true
-        (Hashtbl.find table 0x7bL = Run.Finished 2.0))
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -424,6 +412,26 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
+let wal_magic = "rumor-wal/1\n"
+
+let test_checkpoint_missing_and_garbage () =
+  check int "missing file loads empty" 0
+    (Hashtbl.length (Checkpoint.load "/nonexistent/rumor-ckpt"));
+  with_temp_file (fun path ->
+      Checkpoint.save path ~seeds:[| 0x7bL |]
+        ~outcomes:[| Some (Run.Finished 2.0) |];
+      let content = read_file path in
+      check bool "a WAL" true (String.starts_with ~prefix:wal_magic content);
+      let record =
+        String.sub content (String.length wal_magic)
+          (String.length content - String.length wal_magic)
+      in
+      write_file path (wal_magic ^ "not a valid line\n" ^ record);
+      let table = Checkpoint.load path in
+      check int "garbage record skipped" 1 (Hashtbl.length table);
+      check bool "valid record kept" true
+        (Hashtbl.find table 0x7bL = Run.Finished 2.0))
+
 let with_metrics f =
   Obs.Metrics.enable ();
   Obs.Metrics.reset ();
@@ -431,59 +439,192 @@ let with_metrics f =
 
 let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
+(* The bytes a save appends depend only on the outcomes it adds: the
+   same k new outcomes after 0, 32 or 320 decided ones append the same
+   record, one line. *)
+let test_checkpoint_append_independent_of_history () =
+  let k = 8 in
+  let appended ~prior =
+    let path = Filename.temp_file "rumor-ckpt" ".wal" in
+    Sys.remove path;
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let seeds = Array.init (prior + k) (fun i -> Int64.of_int (i + 1)) in
+        let outcomes =
+          Array.init (prior + k) (fun i ->
+              Some (Run.Finished (float_of_int i /. 7.)))
+        in
+        if prior > 0 then
+          Checkpoint.save path ~seeds:(Array.sub seeds 0 prior)
+            ~outcomes:(Array.sub outcomes 0 prior);
+        let before = if prior > 0 then read_file path else wal_magic in
+        let new_seeds =
+          Array.init (prior + k) (fun i ->
+              if i < prior then seeds.(i) else Int64.of_int (0x1000 + i - prior))
+        in
+        let new_outcomes =
+          Array.init (prior + k) (fun i ->
+              if i < prior then outcomes.(i)
+              else Some (Run.Censored (float_of_int (i - prior) +. 0.25)))
+        in
+        Checkpoint.save path ~seeds:new_seeds ~outcomes:new_outcomes;
+        let after = read_file path in
+        check bool "earlier bytes untouched" true
+          (String.starts_with ~prefix:before after);
+        Checkpoint.save path ~seeds:new_seeds ~outcomes:new_outcomes;
+        check bool "nothing new, nothing appended" true (read_file path = after);
+        check int "every outcome loads" (prior + k)
+          (Hashtbl.length (Checkpoint.load path));
+        String.sub after (String.length before)
+          (String.length after - String.length before))
+  in
+  let r0 = appended ~prior:0 in
+  check int "one record line" 1
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' r0)));
+  check bool "same record after 32" true (appended ~prior:32 = r0);
+  check bool "same record after 320" true (appended ~prior:320 = r0)
+
+(* A fresh checkpoint carries the WAL header, and each record its own
+   payload CRC: a changed payload byte drops that record from [load],
+   and the next save quarantines it, counts it and re-appends what the
+   caller still holds. *)
 let test_checkpoint_v2_header_and_crc () =
-  (* A fresh checkpoint carries the v2 magic and a payload CRC; a
-     flipped payload byte is surfaced via checkpoint.crc_mismatches
-     (the file still degrades to per-line parsing, it is not thrown
-     away). *)
   with_temp_file (fun path ->
-      Checkpoint.save path ~seeds:[| 0x11L; 0x22L |]
-        ~outcomes:[| Some (Run.Finished 2.0); Some (Run.Censored 1.5) |];
-      let header = String.concat "" [ "rumor-checkpoint v2"; " crc32=" ] in
-      check bool "v2 header with crc" true
-        (String.length (read_file path) > String.length header
-        && String.sub (read_file path) 0 (String.length header) = header);
-      check int "round trip" 2 (Hashtbl.length (Checkpoint.load path));
-      with_metrics (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          try Sys.remove (Wal.quarantine_path path) with Sys_error _ -> ())
+        (fun () ->
+          let seeds = [| 0x11L; 0x22L |]
+          and outcomes = [| Some (Run.Finished 2.0); Some (Run.Censored 1.5) |] in
+          Checkpoint.save path ~seeds ~outcomes;
           let content = read_file path in
-          (* Flip a seed hex digit: every line still parses, but the
-             payload no longer matches the header CRC. *)
-          let flipped =
-            String.map (fun c -> if c = '2' then '3' else c) content
-          in
+          check bool "WAL header" true (String.starts_with ~prefix:wal_magic content);
+          check bool "record carries a crc" true
+            (String.starts_with ~prefix:"{\"crc\":\""
+               (String.sub content (String.length wal_magic)
+                  (String.length content - String.length wal_magic)));
+          check int "round trip" 2 (Hashtbl.length (Checkpoint.load path));
+          (* Flip a seed hex digit: the record still parses, but its
+             payload no longer matches its CRC. *)
+          let header = String.length wal_magic in
           write_file path
-            (String.sub content 0 (String.index content '\n')
-            ^ String.sub flipped (String.index content '\n')
-                (String.length content - String.index content '\n'));
-          let table = Checkpoint.load path in
-          check int "crc mismatch counted" 1
-            (counter_value "checkpoint.crc_mismatches");
-          check int "degraded to per-line parsing" 2 (Hashtbl.length table)))
+            (wal_magic
+            ^ String.map
+                (fun c -> if c = '2' then '3' else c)
+                (String.sub content header (String.length content - header)));
+          check int "crc mismatch found" 1 (Wal.read path).corrupt_records;
+          check int "mismatched record not loaded" 0
+            (Hashtbl.length (Checkpoint.load path));
+          with_metrics (fun () ->
+              Checkpoint.save path ~seeds ~outcomes;
+              check int "crc mismatch counted" 1
+                (counter_value "harness.wal_corrupt_records"));
+          check int "outcomes saved again" 2 (Hashtbl.length (Checkpoint.load path))))
+
+(* Damaged lines are never silently dropped: [load] skips them, and
+   the next save quarantines and tallies each in
+   harness.wal_corrupt_records. *)
+let test_checkpoint_corrupt_lines_counted () =
+  with_temp_file (fun path ->
+      Fun.protect
+        ~finally:(fun () ->
+          try Sys.remove (Wal.quarantine_path path) with Sys_error _ -> ())
+        (fun () ->
+          let seeds = [| 0x7bL |] and outcomes = [| Some (Run.Finished 2.0) |] in
+          Checkpoint.save path ~seeds ~outcomes;
+          let content = read_file path in
+          let header = String.length wal_magic in
+          write_file path
+            (wal_magic ^ "garbage one\n"
+            ^ String.sub content header (String.length content - header)
+            ^ "garbage two\n");
+          check int "valid record kept" 1 (Hashtbl.length (Checkpoint.load path));
+          with_metrics (fun () ->
+              Checkpoint.save path ~seeds ~outcomes;
+              check int "both corrupt lines counted" 2
+                (counter_value "harness.wal_corrupt_records"));
+          check bool "quarantine file written" true
+            (Sys.file_exists (Wal.quarantine_path path));
+          check bool "log compacted to the valid record" true
+            (read_file path = content)))
 
 let test_checkpoint_wrong_magic_rejected () =
-  with_metrics (fun () ->
-      with_temp_file (fun path ->
-          write_file path "rumor-checkpoint v9 bogus\n7b finished 0x1p+1\n";
-          let table = Checkpoint.load path in
-          check int "unknown magic loads nothing" 0 (Hashtbl.length table);
-          check int "checkpoint.bad_magic counted" 1
-            (counter_value "checkpoint.bad_magic")))
+  (* Legacy v1/v2 files are not read: ignoring them costs recompute,
+     never a changed byte, and the first save replaces them with a
+     WAL.  The legacy lines name real seeds with wrong times, so a
+     reader that used them would break bit-identity. *)
+  let net = Dynet.of_static (Gen.clique 12) in
+  let faults = Fault_plan.message_loss 0.2 in
+  let clean = Run.async_spread_sweep ~reps:6 ~faults (Rng.create 38) net in
+  let line = Printf.sprintf "%Lx finished 0x1p+1\n" clean.Run.seeds.(0) in
+  List.iter
+    (fun content ->
+      with_metrics (fun () ->
+          with_temp_file (fun path ->
+              write_file path content;
+              let table = Checkpoint.load path in
+              check int "unknown magic loads nothing" 0 (Hashtbl.length table);
+              check int "checkpoint.bad_magic counted" 1
+                (counter_value "checkpoint.bad_magic");
+              let resumed =
+                Run.async_spread_sweep ~reps:6 ~faults ~checkpoint:path
+                  (Rng.create 38) net
+              in
+              check bool "resumed over it bit-identical" true
+                (resumed.Run.outcomes = clean.Run.outcomes);
+              check bool "replaced by a WAL" true
+                (String.starts_with ~prefix:wal_magic (read_file path));
+              check int "all outcomes saved" 6
+                (Hashtbl.length (Checkpoint.load path)))))
+    [
+      "rumor-checkpoint v9 bogus\n7b finished 0x1p+1\n";
+      "rumor-checkpoint v1\n" ^ line;
+      "rumor-checkpoint v2 crc32=00000000\n" ^ line;
+    ]
 
-let test_checkpoint_corrupt_lines_counted () =
-  (* Satellite of the harness PR: malformed lines are never silently
-     dropped — they are tallied in checkpoint.corrupt_lines (one
-     stderr warning names the first offender). *)
-  with_metrics (fun () ->
-      with_temp_file (fun path ->
-          write_file path
-            "rumor-checkpoint v1\n\
-             garbage one\n\
-             7b finished 0x1p+1\n\
-             garbage two\n";
-          let table = Checkpoint.load path in
-          check int "valid line kept" 1 (Hashtbl.length table);
-          check int "both corrupt lines counted" 2
-            (counter_value "checkpoint.corrupt_lines")))
+(* A flipped byte makes its record fail the CRC: the next save
+   quarantines it, only its replicates re-run, and the resumed sweep
+   is still bit-identical.  40 replicates leave two records (the
+   checkpoint chunk is 32); the flip hits the second. *)
+let test_checkpoint_flipped_byte_quarantined () =
+  let net = Dynet.of_static (Gen.clique 12) in
+  let faults = Fault_plan.message_loss 0.2 in
+  let reps = 40 in
+  let clean = Run.async_spread_sweep ~reps ~faults (Rng.create 39) net in
+  with_temp_file (fun path ->
+      Fun.protect
+        ~finally:(fun () ->
+          try Sys.remove (Wal.quarantine_path path) with Sys_error _ -> ())
+        (fun () ->
+          ignore
+            (Run.async_spread_sweep ~reps ~faults ~checkpoint:path
+               (Rng.create 39) net);
+          let content = read_file path in
+          let lines = String.split_on_char '\n' content in
+          check int "header and two records" 4 (List.length lines);
+          let last = String.rindex_from content (String.length content - 2) '\n' in
+          let at = last + ((String.length content - last) / 2) in
+          let flipped = Bytes.of_string content in
+          Bytes.set flipped at (if content.[at] = '0' then '1' else '0');
+          write_file path (Bytes.to_string flipped);
+          check int "the first record still loads" 32
+            (Hashtbl.length (Checkpoint.load path));
+          with_metrics (fun () ->
+              let resumed =
+                Run.async_spread_sweep ~reps ~faults ~checkpoint:path
+                  (Rng.create 39) net
+              in
+              check int "only the flipped record's replicates re-run" 32
+                (counter_value "run.sweep.checkpoint_hits");
+              check int "record quarantined" 1
+                (counter_value "harness.wal_corrupt_records");
+              check bool "resumed sweep bit-identical" true
+                (resumed.Run.outcomes = clean.Run.outcomes));
+          check bool "quarantine file written" true
+            (Sys.file_exists (Wal.quarantine_path path));
+          check int "every outcome saved again" reps
+            (Hashtbl.length (Checkpoint.load path))))
 
 let test_checkpoint_resume_bit_identical () =
   (* Interrupt a sweep after 5 of 12 reps, resume from the checkpoint,
@@ -625,10 +766,14 @@ let () =
             test_checkpoint_missing_and_garbage;
           Alcotest.test_case "v2 header and payload CRC" `Quick
             test_checkpoint_v2_header_and_crc;
+          Alcotest.test_case "append bytes independent of history" `Quick
+            test_checkpoint_append_independent_of_history;
           Alcotest.test_case "wrong magic rejected" `Quick
             test_checkpoint_wrong_magic_rejected;
           Alcotest.test_case "corrupt lines counted" `Quick
             test_checkpoint_corrupt_lines_counted;
+          Alcotest.test_case "flipped byte quarantined" `Quick
+            test_checkpoint_flipped_byte_quarantined;
           Alcotest.test_case "resume is bit-identical" `Quick
             test_checkpoint_resume_bit_identical;
           Alcotest.test_case "scattered-subset resume (jobs 1)" `Quick

@@ -97,7 +97,15 @@ let test_wal_roundtrip () =
       Wal.append w2 (sample_record 3);
       Wal.close w2;
       check int "append after reopen" 4
-        (List.length (Wal.read path).Wal.records))
+        (List.length (Wal.read path).Wal.records);
+      (* A rewrite of the same records is the same bytes as the appends. *)
+      let copy = path ^ ".copy" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove copy with Sys_error _ -> ())
+        (fun () ->
+          Wal.rewrite copy (List.init 4 sample_record);
+          check bool "rewrite = appends, byte for byte" true
+            (read_file copy = read_file path)))
 
 let test_wal_truncated_tail () =
   with_metrics (fun () ->
